@@ -139,6 +139,54 @@ void BM_GroupByAggregate(benchmark::State& state) {
 }
 BENCHMARK(BM_GroupByAggregate)->Arg(100'000);
 
+// The grouped aggregates of a standing query, one 1024-row firing per
+// iteration: Arg 0 groups by `payload % 16` with count/sum/min/max, Arg 1
+// groups by `payload` itself (about a thousand groups) with count/sum.
+void BM_GroupByBatch(benchmark::State& state) {
+  Table t = MakeTuples(1024);
+  EvalContext ctx;
+  const bool by_key = state.range(0) == 1;
+  std::vector<ops::GroupItem> groups = {
+      {by_key ? Expr::Col("payload")
+              : Expr::Bin(BinaryOp::kMod, Expr::Col("payload"), Expr::Lit(16)),
+       "g"}};
+  std::vector<ops::AggItem> aggs = {
+      {ops::AggFunc::kCountStar, nullptr, "n"},
+      {ops::AggFunc::kSum, Expr::Col("payload"), "sv"}};
+  if (!by_key) {
+    aggs.push_back({ops::AggFunc::kMin, Expr::Col("payload"), "mn"});
+    aggs.push_back({ops::AggFunc::kMax, Expr::Col("payload"), "mx"});
+  }
+  for (auto _ : state) {
+    auto out = ops::Aggregate(t, groups, aggs, ctx);
+    benchmark::DoNotOptimize(out);
+  }
+  state.SetItemsProcessed(state.iterations() * 1024);
+}
+BENCHMARK(BM_GroupByBatch)->Arg(0)->Arg(1);
+
+// A `top 128` window ordered by arrival tag over a 1024-row basket: the
+// eight firings that drain one batch. The refill is off the clock.
+void BM_TopNWindow(benchmark::State& state) {
+  Table batch = MakeTuples(1024);
+  auto basket = std::make_shared<core::Basket>("b", StreamSchema());
+  core::BasketExpression be(basket);
+  be.OrderBy({{Expr::Col("tag"), true}}).Top(128);
+  EvalContext ctx;
+  for (auto _ : state) {
+    state.PauseTiming();
+    auto acc = basket->Append(batch, 0);
+    benchmark::DoNotOptimize(acc);
+    state.ResumeTiming();
+    for (int f = 0; f < 8; ++f) {
+      auto out = be.Evaluate(ctx);
+      benchmark::DoNotOptimize(out);
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * 1024);
+}
+BENCHMARK(BM_TopNWindow);
+
 void BM_BasketAppendTake(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
   Table batch = MakeTuples(n);

@@ -153,6 +153,13 @@ void Column::AppendNull() {
   valid_->push_back(0);
 }
 
+void Column::SetNull(size_t i) {
+  DC_DCHECK(i < size());
+  Detach(/*compact=*/true);
+  EnsureValidity();
+  (*valid_)[i] = 0;
+}
+
 Status Column::AppendValue(const Value& v) {
   if (v.is_null()) {
     AppendNull();
@@ -192,6 +199,15 @@ Status Column::AppendColumn(const Column& other) {
     return Status::TypeMismatch(std::string("append type mismatch: ") +
                                 DataTypeName(other.type_) + " vs " +
                                 DataTypeName(type_));
+  }
+  if (other.empty()) return Status::OK();
+  if (empty()) {
+    // Adopt the source's buffers copy-on-write: O(1) whatever the size.
+    // The first later mutation of either side detaches it.
+    data_ = other.data_;
+    valid_ = other.valid_;
+    head_ = other.head_;
+    return Status::OK();
   }
   Detach(false);
   if (other.has_nulls()) EnsureValidity();

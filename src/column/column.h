@@ -125,11 +125,18 @@ class Column {
   void AppendString(std::string v);
   void AppendNull();
 
+  /// Marks row i NULL. Its value slot keeps what it holds, so writers
+  /// that fill the typed vector directly store the AppendNull placeholder
+  /// (zero/empty) there first.
+  void SetNull(size_t i);
+
   /// Checked append from a boxed Value (boundary path). Numeric widening
   /// int->double is applied; anything else mismatched is an error.
   Status AppendValue(const Value& v);
 
-  /// Appends all rows of `other` (same type required).
+  /// Appends all rows of `other` (same type required). Into an empty
+  /// column this is O(1): the column adopts `other`'s buffers
+  /// copy-on-write, as a snapshot would.
   Status AppendColumn(const Column& other);
   /// Appends the selected rows of `other`.
   Status AppendColumnRows(const Column& other, const SelVector& sel);

@@ -1,6 +1,7 @@
 #include "core/basket_expression.h"
 
 #include <algorithm>
+#include <numeric>
 
 #include "expr/eval.h"
 #include "util/logging.h"
@@ -43,42 +44,48 @@ Result<Table> BasketExpression::EvaluateSnapshot(const Table& data,
   const bool consume_upfront =
       consume_ == ConsumePolicy::kBatch && !top_n_.has_value();
 
-  // 1. Window predicate.
+  // 1. Window predicate. Without one the window is the whole snapshot,
+  // which the later steps read in place instead of copying.
   SelVector window;
+  Table filtered;
   if (predicate_ != nullptr) {
     ASSIGN_OR_RETURN(window, EvalPredicate(data, *predicate_, ctx));
-  } else {
-    window.resize(data.num_rows());
-    for (size_t i = 0; i < window.size(); ++i) {
-      window[i] = static_cast<uint32_t>(i);
-    }
+    if (!order_by_.empty() || top_n_.has_value()) filtered = data.Take(window);
   }
+  const Table& window_tab = predicate_ != nullptr ? filtered : data;
+  // Snapshot row of window row l.
+  const auto to_snapshot = [&](SelVector local) {
+    if (predicate_ != nullptr) {
+      for (uint32_t& l : local) l = window[l];
+    }
+    return local;
+  };
 
   // 2. order by / top n over the window.
-  SelVector selected = window;
-  if (!order_by_.empty() || top_n_.has_value()) {
-    Table window_tab = data.Take(window);
-    if (top_n_.has_value()) {
-      // A `top n` window is exact: wait until it can be filled.
-      if (window_tab.num_rows() < *top_n_) {
-        return Table(data.schema());
-      }
-      ASSIGN_OR_RETURN(SelVector local,
-                       ops::TopNIndices(window_tab, order_by_, *top_n_, ctx));
-      selected.clear();
-      selected.reserve(local.size());
-      for (uint32_t l : local) selected.push_back(window[l]);
-    } else {
-      ASSIGN_OR_RETURN(SelVector local,
-                       ops::SortIndices(window_tab, order_by_, ctx));
-      selected.clear();
-      selected.reserve(local.size());
-      for (uint32_t l : local) selected.push_back(window[l]);
-    }
+  SelVector selected;
+  if (top_n_.has_value()) {
+    // A `top n` window is exact: wait until it can be filled.
+    if (window_tab.num_rows() < *top_n_) return Table(data.schema());
+    ASSIGN_OR_RETURN(SelVector local,
+                     ops::TopNIndices(window_tab, order_by_, *top_n_, ctx));
+    selected = to_snapshot(std::move(local));
+  } else if (!order_by_.empty()) {
+    ASSIGN_OR_RETURN(SelVector local,
+                     ops::SortIndices(window_tab, order_by_, ctx));
+    selected = to_snapshot(std::move(local));
+  } else if (predicate_ != nullptr) {
+    selected = std::move(window);
+  } else {
+    selected.resize(data.num_rows());
+    std::iota(selected.begin(), selected.end(), 0);
   }
 
-  // 3. Materialize the result before mutating the basket.
-  Table result = data.Take(selected);
+  // 3. Materialize the result before mutating the basket: only the
+  // selected rows, or the snapshot itself when every row is selected in
+  // order.
+  const bool whole = predicate_ == nullptr && order_by_.empty() &&
+                     !top_n_.has_value();
+  Table result = whole ? data : data.Take(selected);
 
   // 4. Consumption side effect (indices refer to the snapshot; for the
   // row-targeted policies the lock held by Evaluate since the snapshot
@@ -90,8 +97,10 @@ Result<Table> BasketExpression::EvaluateSnapshot(const Table& data,
       if (!consume_upfront) source_->Clear();
       break;
     case ConsumePolicy::kMatched: {
-      SelVector to_erase = selected;
-      std::sort(to_erase.begin(), to_erase.end());
+      SelVector to_erase = std::move(selected);
+      if (!std::is_sorted(to_erase.begin(), to_erase.end())) {
+        std::sort(to_erase.begin(), to_erase.end());
+      }
       to_erase.erase(std::unique(to_erase.begin(), to_erase.end()),
                      to_erase.end());
       RETURN_NOT_OK(source_->EraseRows(to_erase));

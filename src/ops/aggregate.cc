@@ -1,60 +1,267 @@
 #include "ops/aggregate.h"
 
-#include <unordered_map>
+#include <cstring>
+#include <functional>
+#include <limits>
 
 #include "ops/kernels.h"
 #include "util/logging.h"
+#include "util/simd.h"
 #include "util/strings.h"
 
 namespace datacell::ops {
 
 namespace {
 
-// Accumulator for one (group, aggregate) pair.
-struct AggState {
-  int64_t count = 0;
-  int64_t isum = 0;
-  double dsum = 0;
-  Value min;
-  Value max;
+constexpr uint32_t kNoGroup = std::numeric_limits<uint32_t>::max();
+// Hash of a NULL key cell; NULLs form one group per key position.
+constexpr uint64_t kNullHash = 0x6A09E667F3BCC909ULL;
+
+// One evaluated group-key column in the form the group table compares.
+// Fixed-width types are 64-bit patterns: int64/timestamp as they are,
+// doubles by bit pattern (so -0.0/+0.0 and distinct NaN payloads are
+// distinct groups), bools as 0/1. Strings compare by value. A NULL cell
+// equals only another NULL cell, whatever placeholder it holds.
+struct KeyLane {
+  const uint64_t* bits = nullptr;
+  const std::string* strs = nullptr;
+  const uint8_t* valid = nullptr;  // null: no NULLs in the column
+  std::vector<uint64_t> widened;   // bit patterns of double/bool columns
 };
 
-// Encodes one row of the group-key columns into a byte string (same scheme
-// as the join; nulls are encoded explicitly so NULL groups exist).
-void EncodeGroupKey(const std::vector<Column>& cols, uint32_t row,
-                    std::string* buf) {
-  buf->clear();
-  for (const Column& c : cols) {
-    if (!c.IsValid(row)) {
-      buf->push_back('n');
-      continue;
+void InitLane(const Column& c, KeyLane* lane) {
+  const size_t n = c.size();
+  lane->valid = c.raw_validity();
+  switch (c.type()) {
+    case DataType::kInt64:
+    case DataType::kTimestamp:
+      // uint64_t may alias int64_t (its unsigned counterpart).
+      lane->bits = reinterpret_cast<const uint64_t*>(c.ints().data());
+      break;
+    case DataType::kDouble:
+      lane->widened.resize(n);
+      if (n > 0) {
+        std::memcpy(lane->widened.data(), c.doubles().data(),
+                    n * sizeof(double));
+      }
+      lane->bits = lane->widened.data();
+      break;
+    case DataType::kBool:
+      lane->widened.assign(c.bools().begin(), c.bools().end());
+      lane->bits = lane->widened.data();
+      break;
+    case DataType::kString:
+      lane->strs = c.strings().data();
+      break;
+  }
+}
+
+bool CellsEqual(const KeyLane& l, uint32_t a, uint32_t b) {
+  if (l.valid != nullptr) {
+    const bool va = l.valid[a] != 0;
+    if (va != (l.valid[b] != 0)) return false;
+    if (!va) return true;
+  }
+  return l.bits != nullptr ? l.bits[a] == l.bits[b] : l.strs[a] == l.strs[b];
+}
+
+// Per-row hash over all key lanes: multiply-shift per fixed-width lane,
+// std::hash (spread by the same multiplier) per string lane, combined
+// lane by lane.
+void HashKeys(const std::vector<KeyLane>& lanes, size_t n,
+              std::vector<uint64_t>* out) {
+  out->resize(n);
+  std::vector<uint64_t> lane_hash(lanes.size() > 1 ? n : 0);
+  for (size_t k = 0; k < lanes.size(); ++k) {
+    const KeyLane& l = lanes[k];
+    uint64_t* h = k == 0 ? out->data() : lane_hash.data();
+    if (l.bits != nullptr) {
+      simd::HashI64(reinterpret_cast<const int64_t*>(l.bits), n, h);
+    } else {
+      for (size_t i = 0; i < n; ++i) {
+        h[i] = std::hash<std::string>{}(l.strs[i]) * simd::kHashMul;
+      }
     }
-    switch (c.type()) {
-      case DataType::kInt64:
-      case DataType::kTimestamp: {
-        buf->push_back('i');
-        int64_t v = c.ints()[row];
-        buf->append(reinterpret_cast<const char*>(&v), sizeof(v));
+    if (l.valid != nullptr) {
+      for (size_t i = 0; i < n; ++i) {
+        if (l.valid[i] == 0) h[i] = kNullHash;
+      }
+    }
+    if (k == 0) continue;
+    uint64_t* acc = out->data();
+    for (size_t i = 0; i < n; ++i) {
+      acc[i] = ((acc[i] << 23) | (acc[i] >> 41)) ^ h[i];
+    }
+  }
+}
+
+// Open-addressing group table (linear probing on the hash's top bits).
+// Group ids are dense and in first-seen order; `rep` is each group's first
+// row, against which later rows are compared lane by lane.
+void AssignGroups(const std::vector<KeyLane>& lanes, size_t n,
+                  std::vector<uint32_t>* row_group,
+                  std::vector<uint32_t>* rep) {
+  std::vector<uint64_t> hash;
+  HashKeys(lanes, n, &hash);
+  std::vector<uint64_t> group_hash;
+  // Sized for every row to be its own group at half load, up to 64k slots;
+  // larger inputs grow the table as groups appear.
+  unsigned bits = 6;
+  while (bits < 16 && (size_t{1} << bits) < 2 * n) ++bits;
+  std::vector<uint32_t> slots(size_t{1} << bits, kNoGroup);
+  row_group->resize(n);
+  for (uint32_t i = 0; i < n; ++i) {
+    const uint64_t h = hash[i];
+    const size_t mask = slots.size() - 1;
+    size_t pos = h >> (64 - bits);
+    uint32_t g;
+    for (;;) {
+      g = slots[pos];
+      if (g == kNoGroup) {
+        g = static_cast<uint32_t>(rep->size());
+        slots[pos] = g;
+        rep->push_back(i);
+        group_hash.push_back(h);
         break;
       }
-      case DataType::kDouble: {
-        buf->push_back('d');
-        double v = c.doubles()[row];
-        buf->append(reinterpret_cast<const char*>(&v), sizeof(v));
-        break;
+      if (group_hash[g] == h) {
+        const uint32_t r = (*rep)[g];
+        bool same = true;
+        for (const KeyLane& l : lanes) {
+          if (!CellsEqual(l, i, r)) {
+            same = false;
+            break;
+          }
+        }
+        if (same) break;
       }
-      case DataType::kBool:
-        buf->push_back('b');
-        buf->push_back(static_cast<char>(c.bools()[row]));
-        break;
-      case DataType::kString: {
-        const std::string& s = c.strings()[row];
-        buf->push_back('s');
-        uint32_t len = static_cast<uint32_t>(s.size());
-        buf->append(reinterpret_cast<const char*>(&len), sizeof(len));
-        buf->append(s);
-        break;
+      pos = (pos + 1) & mask;
+    }
+    (*row_group)[i] = g;
+    if (rep->size() * 2 > slots.size()) {
+      ++bits;
+      slots.assign(size_t{1} << bits, kNoGroup);
+      const size_t grown_mask = slots.size() - 1;
+      for (uint32_t j = 0; j < group_hash.size(); ++j) {
+        size_t p = group_hash[j] >> (64 - bits);
+        while (slots[p] != kNoGroup) p = (p + 1) & grown_mask;
+        slots[p] = j;
       }
+    }
+  }
+}
+
+// Typed per-group accumulators of one aggregate. Which vectors are sized
+// depends on the function and the argument's physical type.
+struct Accumulator {
+  std::vector<int64_t> count;  // rows (count(*)) or non-NULL arguments
+  std::vector<uint64_t> isum;  // int64 sums, wrapping like the SIMD fold
+  std::vector<double> dsum;    // double sums, added in row order
+  std::vector<int64_t> iext;   // exact int64 min or max
+  std::vector<double> dext;    // double min or max
+  std::vector<uint32_t> ext_row;  // bool/string min or max: its row
+};
+
+// Folds one aggregate's argument into per-group accumulators, row by row.
+// Min/max keep the incumbent unless the challenger is strictly better —
+// the same rule as the SIMD folds, which settles -0.0/+0.0 ties and never
+// lets a NaN in after the first value.
+void FoldGrouped(AggFunc func, const Column& arg,
+                 const std::vector<uint32_t>& row_group, Accumulator* acc) {
+  const size_t n = row_group.size();
+  const uint32_t* grp = row_group.data();
+  const uint8_t* valid = arg.raw_validity();
+  int64_t* count = acc->count.data();
+  if (func == AggFunc::kCount) {
+    for (size_t i = 0; i < n; ++i) {
+      if (valid == nullptr || valid[i] != 0) ++count[grp[i]];
+    }
+    return;
+  }
+  const bool is_min = func == AggFunc::kMin;
+  const bool is_sum = func == AggFunc::kSum || func == AggFunc::kAvg;
+  switch (arg.type()) {
+    case DataType::kInt64:
+    case DataType::kTimestamp: {
+      const int64_t* d = arg.ints().data();
+      if (is_sum) {
+        uint64_t* sum = acc->isum.data();
+        for (size_t i = 0; i < n; ++i) {
+          if (valid != nullptr && valid[i] == 0) continue;
+          ++count[grp[i]];
+          sum[grp[i]] += static_cast<uint64_t>(d[i]);
+        }
+        return;
+      }
+      int64_t* ext = acc->iext.data();
+      for (size_t i = 0; i < n; ++i) {
+        if (valid != nullptr && valid[i] == 0) continue;
+        const uint32_t g = grp[i];
+        const int64_t v = d[i];
+        if (count[g]++ == 0 || (is_min ? v < ext[g] : v > ext[g])) ext[g] = v;
+      }
+      return;
+    }
+    case DataType::kDouble: {
+      const double* d = arg.doubles().data();
+      if (is_sum) {
+        double* sum = acc->dsum.data();
+        for (size_t i = 0; i < n; ++i) {
+          if (valid != nullptr && valid[i] == 0) continue;
+          ++count[grp[i]];
+          sum[grp[i]] += d[i];
+        }
+        return;
+      }
+      double* ext = acc->dext.data();
+      for (size_t i = 0; i < n; ++i) {
+        if (valid != nullptr && valid[i] == 0) continue;
+        const uint32_t g = grp[i];
+        const double v = d[i];
+        if (count[g]++ == 0 || (is_min ? v < ext[g] : v > ext[g])) ext[g] = v;
+      }
+      return;
+    }
+    case DataType::kBool:
+    case DataType::kString: {
+      // Remember the extreme's row; compare in the column's own type.
+      const auto better = [&](uint32_t a, uint32_t b) {
+        if (arg.type() == DataType::kBool) {
+          return is_min ? arg.bools()[a] < arg.bools()[b]
+                        : arg.bools()[a] > arg.bools()[b];
+        }
+        return is_min ? arg.strings()[a] < arg.strings()[b]
+                      : arg.strings()[a] > arg.strings()[b];
+      };
+      uint32_t* ext = acc->ext_row.data();
+      for (uint32_t i = 0; i < n; ++i) {
+        if (valid != nullptr && valid[i] == 0) continue;
+        const uint32_t g = grp[i];
+        if (count[g]++ == 0 || better(i, ext[g])) ext[g] = i;
+      }
+      return;
+    }
+  }
+}
+
+// Global (ungrouped) numeric aggregates go through the columnar fold
+// kernel: morsel-gridded SIMD count/sum/min/max with partials merged in
+// morsel order (DESIGN.md §12).
+void FoldGlobal(AggFunc func, const Column& arg, Accumulator* acc) {
+  const simd::FoldState f = kern::FoldNumeric(arg);
+  acc->count[0] = static_cast<int64_t>(f.count);
+  const bool is_double = arg.type() == DataType::kDouble;
+  if (func == AggFunc::kSum || func == AggFunc::kAvg) {
+    if (is_double) {
+      acc->dsum[0] = f.dsum;
+    } else {
+      acc->isum[0] = f.isum;
+    }
+  } else if (f.seen && (func == AggFunc::kMin || func == AggFunc::kMax)) {
+    if (is_double) {
+      acc->dext[0] = func == AggFunc::kMin ? f.dmin : f.dmax;
+    } else {
+      acc->iext[0] = func == AggFunc::kMin ? f.imin : f.imax;
     }
   }
 }
@@ -76,6 +283,74 @@ Result<DataType> AggOutputType(AggFunc func, DataType arg) {
       return arg;
   }
   return Status::Internal("unreachable");
+}
+
+// Writes one aggregate's per-group results into the empty column `out`:
+// the typed vector is filled in one pass, then groups without a non-NULL
+// argument are marked NULL (their slots hold the AppendNull placeholder —
+// every accumulator starts at zero).
+void EmitResults(AggFunc func, const Column& arg, const Accumulator& acc,
+                 Column* out) {
+  const size_t groups = acc.count.size();
+  const int64_t* count = acc.count.data();
+  const bool is_double = arg.type() == DataType::kDouble;
+  switch (func) {
+    case AggFunc::kCountStar:
+    case AggFunc::kCount:
+      out->ints() = acc.count;
+      return;  // never NULL
+    case AggFunc::kSum:
+      if (is_double) {
+        out->doubles() = acc.dsum;
+      } else {
+        out->ints().assign(acc.isum.begin(), acc.isum.end());
+      }
+      break;
+    case AggFunc::kAvg: {
+      // Int avg derives from the exact integer sum.
+      std::vector<double>& avg = out->doubles();
+      avg.resize(groups);
+      for (size_t g = 0; g < groups; ++g) {
+        if (count[g] == 0) continue;
+        const double sum =
+            is_double ? acc.dsum[g]
+                      : static_cast<double>(static_cast<int64_t>(acc.isum[g]));
+        avg[g] = sum / static_cast<double>(count[g]);
+      }
+      break;
+    }
+    case AggFunc::kMin:
+    case AggFunc::kMax:
+      switch (arg.type()) {
+        case DataType::kInt64:
+        case DataType::kTimestamp:
+          out->ints() = acc.iext;
+          break;
+        case DataType::kDouble:
+          out->doubles() = acc.dext;
+          break;
+        case DataType::kBool: {
+          std::vector<uint8_t>& v = out->bools();
+          v.resize(groups);
+          for (size_t g = 0; g < groups; ++g) {
+            if (count[g] > 0) v[g] = arg.bools()[acc.ext_row[g]];
+          }
+          break;
+        }
+        case DataType::kString: {
+          std::vector<std::string>& v = out->strings();
+          v.resize(groups);
+          for (size_t g = 0; g < groups; ++g) {
+            if (count[g] > 0) v[g] = arg.strings()[acc.ext_row[g]];
+          }
+          break;
+        }
+      }
+      break;
+  }
+  for (size_t g = 0; g < groups; ++g) {
+    if (count[g] == 0) out->SetNull(g);
+  }
 }
 
 bool ValueLess(const Value& a, const Value& b) {
@@ -137,91 +412,48 @@ Result<Table> Aggregate(const Table& table, const std::vector<GroupItem>& groups
     arg_cols.push_back(std::move(c));
   }
 
-  // Group id per input row; group 0..k-1 in first-seen order.
-  std::unordered_map<std::string, uint32_t> group_ids;
-  std::vector<uint32_t> row_group(n);
-  std::vector<uint32_t> group_rep;  // representative row per group
-  std::string buf;
+  // Group id per input row; groups 0..k-1 in first-seen order, each with
+  // its first row as representative. No group items: one global group.
+  std::vector<uint32_t> row_group;
+  std::vector<uint32_t> group_rep;
+  size_t num_groups = 1;
   if (groups.empty()) {
-    group_ids.emplace("", 0);
-    if (n > 0) group_rep.push_back(0);
-    for (size_t i = 0; i < n; ++i) row_group[i] = 0;
+    row_group.assign(n, 0);
   } else {
-    for (uint32_t i = 0; i < n; ++i) {
-      EncodeGroupKey(key_cols, i, &buf);
-      auto [it, inserted] =
-          group_ids.emplace(buf, static_cast<uint32_t>(group_rep.size()));
-      if (inserted) group_rep.push_back(i);
-      row_group[i] = it->second;
+    std::vector<KeyLane> lanes(key_cols.size());
+    for (size_t k = 0; k < key_cols.size(); ++k) {
+      InitLane(key_cols[k], &lanes[k]);
     }
+    AssignGroups(lanes, n, &row_group, &group_rep);
+    num_groups = group_rep.size();
   }
-  const size_t num_groups = groups.empty() ? 1 : group_rep.size();
 
   // Fold.
-  std::vector<std::vector<AggState>> states(
-      aggs.size(), std::vector<AggState>(num_groups));
+  std::vector<Accumulator> accs(aggs.size());
   for (size_t a = 0; a < aggs.size(); ++a) {
-    const AggItem& item = aggs[a];
+    const AggFunc func = aggs[a].func;
     const Column& arg = arg_cols[a];
-    auto& st = states[a];
-    // Global (ungrouped) aggregates over numeric arguments go through the
-    // columnar fold kernel: morsel-gridded SIMD count/sum/min/max with
-    // partials merged in morsel order (DESIGN.md §12). Int min/max compare
-    // exactly here (the boxed path compares int64 as double); int avg
-    // derives from the exact integer sum.
-    if (groups.empty() && item.func == AggFunc::kCountStar) {
-      st[0].count = static_cast<int64_t>(n);
+    Accumulator& acc = accs[a];
+    acc.count.assign(num_groups, 0);
+    if (func == AggFunc::kCountStar) {
+      for (const uint32_t g : row_group) ++acc.count[g];
       continue;
+    }
+    const bool is_int = IsIntegerPhysical(arg.type());
+    const bool is_double = arg.type() == DataType::kDouble;
+    if (func == AggFunc::kSum || func == AggFunc::kAvg) {
+      if (is_int) acc.isum.assign(num_groups, 0);
+      if (is_double) acc.dsum.assign(num_groups, 0);
+    }
+    if (func == AggFunc::kMin || func == AggFunc::kMax) {
+      if (is_int) acc.iext.assign(num_groups, 0);
+      if (is_double) acc.dext.assign(num_groups, 0);
+      if (!is_int && !is_double) acc.ext_row.assign(num_groups, 0);
     }
     if (groups.empty() && IsNumeric(arg.type())) {
-      const simd::FoldState f = kern::FoldNumeric(arg);
-      AggState& s = st[0];
-      s.count = static_cast<int64_t>(f.count);
-      if (arg.type() == DataType::kDouble) {
-        s.dsum = f.dsum;
-        if (f.seen) {
-          s.min = Value(f.dmin);
-          s.max = Value(f.dmax);
-        }
-      } else {
-        s.isum = static_cast<int64_t>(f.isum);
-        s.dsum = static_cast<double>(s.isum);
-        if (f.seen) {
-          s.min = Value(f.imin);
-          s.max = Value(f.imax);
-        }
-      }
-      continue;
-    }
-    for (uint32_t i = 0; i < n; ++i) {
-      AggState& s = st[row_group[i]];
-      if (item.func == AggFunc::kCountStar) {
-        ++s.count;
-        continue;
-      }
-      if (!arg.IsValid(i)) continue;
-      switch (item.func) {
-        case AggFunc::kCount:
-          ++s.count;
-          break;
-        case AggFunc::kSum:
-        case AggFunc::kAvg:
-          ++s.count;
-          if (arg.type() == DataType::kDouble) {
-            s.dsum += arg.doubles()[i];
-          } else {
-            s.isum += arg.ints()[i];
-            s.dsum += static_cast<double>(arg.ints()[i]);
-          }
-          break;
-        case AggFunc::kMin:
-        case AggFunc::kMax:
-          ++s.count;
-          UpdateMinMax(arg, i, &s.min, &s.max);
-          break;
-        case AggFunc::kCountStar:
-          break;
-      }
+      FoldGlobal(func, arg, &acc);
+    } else {
+      FoldGrouped(func, arg, row_group, &acc);
     }
   }
 
@@ -237,43 +469,12 @@ Result<Table> Aggregate(const Table& table, const std::vector<GroupItem>& groups
     RETURN_NOT_OK(out_schema.AddField({aggs[a].name, out_t}));
   }
   Table out(out_schema);
-
-  for (size_t g = 0; g < num_groups; ++g) {
-    Row row;
-    row.reserve(groups.size() + aggs.size());
-    for (size_t k = 0; k < groups.size(); ++k) {
-      row.push_back(key_cols[k].GetValue(group_rep[g]));
-    }
-    for (size_t a = 0; a < aggs.size(); ++a) {
-      const AggState& s = states[a][g];
-      switch (aggs[a].func) {
-        case AggFunc::kCountStar:
-        case AggFunc::kCount:
-          row.push_back(Value(s.count));
-          break;
-        case AggFunc::kSum:
-          if (s.count == 0) {
-            row.push_back(Value::Null());
-          } else if (arg_cols[a].type() == DataType::kDouble) {
-            row.push_back(Value(s.dsum));
-          } else {
-            row.push_back(Value(s.isum));
-          }
-          break;
-        case AggFunc::kAvg:
-          row.push_back(s.count == 0
-                            ? Value::Null()
-                            : Value(s.dsum / static_cast<double>(s.count)));
-          break;
-        case AggFunc::kMin:
-          row.push_back(s.min);
-          break;
-        case AggFunc::kMax:
-          row.push_back(s.max);
-          break;
-      }
-    }
-    RETURN_NOT_OK(out.AppendRow(row));
+  for (size_t k = 0; k < groups.size(); ++k) {
+    RETURN_NOT_OK(out.column(k).AppendColumnRows(key_cols[k], group_rep));
+  }
+  for (size_t a = 0; a < aggs.size(); ++a) {
+    EmitResults(aggs[a].func, arg_cols[a], accs[a],
+                &out.column(groups.size() + a));
   }
   return out;
 }

@@ -336,6 +336,60 @@ Result<std::shared_ptr<Statement>> MakeLeafStatement(
   return clone;
 }
 
+namespace {
+
+void RedirectSelect(SelectStmt* stmt,
+                    const std::map<std::string, std::string>& redirect,
+                    bool inside_basket_expr) {
+  for (FromItem& f : stmt->from) {
+    if (f.kind == FromItem::Kind::kBasketExpr && f.basket_query != nullptr) {
+      RedirectSelect(f.basket_query.get(), redirect, true);
+      continue;
+    }
+    if (!inside_basket_expr || f.kind != FromItem::Kind::kRelation) continue;
+    auto it = redirect.find(f.relation);
+    if (it == redirect.end()) continue;
+    f.alias = BindingName(f);
+    f.relation = it->second;
+  }
+}
+
+void RedirectStatement(Statement* stmt,
+                       const std::map<std::string, std::string>& redirect) {
+  switch (stmt->kind) {
+    case Statement::Kind::kSelect:
+      RedirectSelect(stmt->select.get(), redirect, false);
+      break;
+    case Statement::Kind::kInsert:
+      if (stmt->insert->select != nullptr) {
+        RedirectSelect(stmt->insert->select.get(), redirect, false);
+      }
+      break;
+    case Statement::Kind::kWithBlock:
+      if (stmt->with_block->basket_query != nullptr) {
+        RedirectSelect(stmt->with_block->basket_query.get(), redirect, true);
+      }
+      for (StatementPtr& body : stmt->with_block->body) {
+        RedirectStatement(body.get(), redirect);
+      }
+      break;
+    default:
+      break;
+  }
+  for (auto& sub : stmt->subqueries) {
+    if (sub != nullptr) RedirectSelect(sub.get(), redirect, false);
+  }
+}
+
+}  // namespace
+
+std::shared_ptr<Statement> RedirectConsumedBaskets(
+    const Statement& stmt, const std::map<std::string, std::string>& redirect) {
+  std::shared_ptr<Statement> clone = CloneStatement(stmt);
+  RedirectStatement(clone.get(), redirect);
+  return clone;
+}
+
 Result<PlanPtr> BuildLogicalPlan(core::Engine* engine, const Statement& stmt,
                                  const CostModel& cost) {
   const SelectStmt* body = BodySelect(stmt);

@@ -1,6 +1,7 @@
 #ifndef DATACELL_SQL_PLAN_BUILDER_H_
 #define DATACELL_SQL_PLAN_BUILDER_H_
 
+#include <map>
 #include <memory>
 #include <set>
 #include <string>
@@ -55,6 +56,13 @@ Result<CompiledQuery> CompileContinuous(core::Engine* engine,
 Result<std::shared_ptr<Statement>> MakeLeafStatement(
     core::Engine* engine, const CompiledQuery& q,
     const std::string& leaf_basket, const std::set<std::string>& strip_fps);
+
+/// A clone of `stmt` whose basket expressions consume `redirect[b]`
+/// instead of each basket b named in `redirect` (binding names preserved).
+/// The optimizer uses it to feed a query it cannot compile from its own
+/// replica of a shared basket.
+std::shared_ptr<Statement> RedirectConsumedBaskets(
+    const Statement& stmt, const std::map<std::string, std::string>& redirect);
 
 /// Structural logical plan for EXPLAIN of statements outside the
 /// CompileContinuous subset (one-time queries, two-basket merges). Only

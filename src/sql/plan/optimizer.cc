@@ -18,6 +18,11 @@ std::string LeafBasketName(const std::string& query) {
   return "mqo.q." + query;
 }
 
+std::string ReplicaBasketName(const std::string& basket,
+                              const std::string& query) {
+  return "mqo.r." + basket + "." + query;
+}
+
 // Teardown paths unregister factories that this optimizer registered, so a
 // failure (NotFound = already unregistered) is an invariant break worth a
 // log line — but never worth abandoning a rebuild halfway through, which
@@ -86,13 +91,43 @@ Result<core::FactoryPtr> QuerySetOptimizer::AddQuery(
   return queries_[name].factory;
 }
 
+bool QuerySetOptimizer::IsMember(const QueryInfo& q,
+                                 const std::string& basket) {
+  return q.direct ? q.consumed.count(basket) > 0
+                  : q.cq.source_basket == basket;
+}
+
+const core::BasketPtr& QuerySetOptimizer::FeedOf(const QueryInfo& q,
+                                                 const std::string& basket) {
+  return q.direct ? q.replicas.at(basket) : q.leaf;
+}
+
 Status QuerySetOptimizer::AddDirect(const std::string& name, QueryInfo info) {
-  ASSIGN_OR_RETURN(info.factory, build_factory_(name, info.stmt, info.sink));
-  engine_->scheduler().Register(info.factory);
+  std::vector<std::string> sources;
+  CollectBasketSources(*info.stmt, &sources);
+  info.consumed.insert(sources.begin(), sources.end());
+  std::vector<std::string> shared;
+  for (const std::string& b : info.consumed) {
+    if (subnets_.count(b) > 0) shared.push_back(b);
+  }
+  if (shared.empty()) {
+    ASSIGN_OR_RETURN(info.factory, build_factory_(name, info.stmt, info.sink));
+    engine_->scheduler().Register(info.factory);
+    queries_[name] = std::move(info);
+    obs::PlansRegistry::Global().Publish(
+        name, {obs::PlanRow{name, name, "direct", "one factory per query", "",
+                            1, 0}});
+    return Status::OK();
+  }
+  // Fed from the root of each shared basket's subnet: the rebuilds create
+  // the replicas and build and register the factory.
   queries_[name] = std::move(info);
-  obs::PlansRegistry::Global().Publish(
-      name, {obs::PlanRow{name, name, "direct", "one factory per query", "",
-                          1, 0}});
+  for (const std::string& b : shared) {
+    Status rebuilt = RebuildSubnet(b);
+    if (rebuilt.ok()) continue;
+    RemoveQuery(name).IgnoreError();
+    return rebuilt;
+  }
   return Status::OK();
 }
 
@@ -126,7 +161,14 @@ Status QuerySetOptimizer::RemoveQuery(const std::string& name) {
   queries_.erase(it);
   obs::PlansRegistry::Global().Retract(name);
   if (info.direct) {
-    UnregisterOrWarn(engine_->scheduler(), info.factory, "RemoveQuery");
+    if (info.factory != nullptr) {
+      UnregisterOrWarn(engine_->scheduler(), info.factory, "RemoveQuery");
+    }
+    for (const auto& [basket, replica] : info.replicas) {
+      RETURN_NOT_OK(RebuildSubnet(basket));
+      peak_retired_ = std::max(peak_retired_, replica->stats().peak_rows);
+      RETURN_NOT_OK(engine_->DropBasket(replica->name()));
+    }
     return Status::OK();
   }
   // Shared subnet: stop this query's leaf factory, then rebuild the trie
@@ -169,7 +211,7 @@ Status QuerySetOptimizer::DrainSubnet(const std::string& basket,
       if (sel.empty()) continue;
       Table matched = residual.Take(sel);
       ASSIGN_OR_RETURN(size_t appended,
-                       q.leaf->AppendAligned(matched, ectx.now));
+                       FeedOf(q, basket)->AppendAligned(matched, ectx.now));
       (void)appended;
     }
   }
@@ -301,23 +343,27 @@ core::Factory::Body QuerySetOptimizer::StageBody(
 Status QuerySetOptimizer::RebuildSubnet(const std::string& basket) {
   std::vector<std::string> members;
   for (const auto& [qname, q] : queries_) {
-    if (!q.direct && q.cq.source_basket == basket) members.push_back(qname);
+    if (IsMember(q, basket)) members.push_back(qname);
   }
 
   // Tear down the old net first: unregister every transition (the
   // scheduler waits out in-flight firings), then drain the old stage
-  // baskets into the leaves so no in-flight tuple is lost.
+  // baskets into the leaves so no in-flight tuple is lost. A direct member
+  // joining a new net stops consuming the source basket here too.
   auto old = subnets_.find(basket);
   if (old != subnets_.end()) {
     for (Stage& s : old->second.stages) {
       UnregisterOrWarn(engine_->scheduler(), s.factory, "RebuildSubnet");
     }
-    for (const std::string& qname : members) {
-      if (queries_[qname].factory != nullptr) {
-        UnregisterOrWarn(engine_->scheduler(), queries_[qname].factory,
-                         "RebuildSubnet");
-      }
+  }
+  for (const std::string& qname : members) {
+    QueryInfo& q = queries_[qname];
+    if (q.factory != nullptr) {
+      UnregisterOrWarn(engine_->scheduler(), q.factory, "RebuildSubnet");
+      q.factory = nullptr;
     }
+  }
+  if (old != subnets_.end()) {
     RETURN_NOT_OK(DrainSubnet(basket, &old->second));
     subnets_.erase(old);
   }
@@ -330,6 +376,23 @@ Status QuerySetOptimizer::RebuildSubnet(const std::string& basket) {
   // conjuncts stripped and its FROM redirected to the leaf basket.
   for (const std::string& qname : members) {
     QueryInfo& q = queries_[qname];
+    if (q.direct) {
+      // Every shared basket the query consumes is read from its replica.
+      if (q.replicas.count(basket) == 0) {
+        ASSIGN_OR_RETURN(core::BasketPtr source, engine_->GetBasket(basket));
+        ASSIGN_OR_RETURN(
+            q.replicas[basket],
+            engine_->CreateBasket(ReplicaBasketName(basket, qname),
+                                  source->schema(), /*add_arrival_ts=*/false));
+      }
+      std::map<std::string, std::string> redirect;
+      for (const auto& [b, replica] : q.replicas) redirect[b] = replica->name();
+      ASSIGN_OR_RETURN(q.factory,
+                       build_factory_(qname,
+                                      RedirectConsumedBaskets(*q.stmt, redirect),
+                                      q.sink));
+      continue;
+    }
     std::set<std::string> strip;
     for (const Stage& s : net.stages) {
       if (std::find(s.attached.begin(), s.attached.end(), qname) ==
@@ -352,7 +415,7 @@ Status QuerySetOptimizer::RebuildSubnet(const std::string& basket) {
     std::vector<core::BasketPtr> outs;
     for (const size_t c : s.children) outs.push_back(net.stages[c].in);
     for (const std::string& qname : s.attached) {
-      outs.push_back(queries_[qname].leaf);
+      outs.push_back(FeedOf(queries_[qname], basket));
     }
     auto factory = std::make_shared<core::Factory>(s.name, StageBody(s, outs));
     factory->AddInput(s.in, 1);
@@ -393,13 +456,13 @@ void QuerySetOptimizer::PublishPlans(const std::string& basket,
           ConjunctsFps(s.conjuncts),
           static_cast<int64_t>(s.descendants.size()), est});
     }
-    rows.push_back(obs::PlanRow{qname, qname, "leaf",
-                                "execute rewritten statement on mqo.q." +
-                                    qname,
-                                "", 1, est});
+    rows.push_back(obs::PlanRow{
+        qname, qname, "leaf",
+        "execute rewritten statement on " +
+            FeedOf(queries_.at(qname), basket)->name(),
+        "", 1, est});
     obs::PlansRegistry::Global().Publish(qname, std::move(rows));
   }
-  (void)basket;
 }
 
 size_t QuerySetOptimizer::SharedCount(const std::string& basket,
@@ -427,6 +490,9 @@ uint64_t QuerySetOptimizer::PeakResidentRows() const {
   }
   for (const auto& [qname, q] : queries_) {
     if (q.leaf != nullptr) peak = std::max(peak, q.leaf->stats().peak_rows);
+    for (const auto& [basket, replica] : q.replicas) {
+      peak = std::max(peak, replica->stats().peak_rows);
+    }
   }
   return peak;
 }

@@ -32,6 +32,9 @@
 /// behavior (including competing consumption when several queries read one
 /// basket); shared mode replicates qualifying tuples so every query sees
 /// the full stream, which is the semantics the sharing ablation measures.
+/// A direct query that consumes a basket with a subnet is attached to the
+/// subnet's root through its own replica basket, whichever of the two was
+/// registered first, so it too sees the full stream.
 ///
 /// Thread-model: registration, removal and re-optimization happen on one
 /// driver thread (the same discipline as sql::Session); the built net is
@@ -110,6 +113,12 @@ class QuerySetOptimizer {
     bool direct = true;
     core::FactoryPtr factory;  // direct factory or current leaf factory
     core::BasketPtr leaf;      // shared mode: engine basket "mqo.q.<name>"
+    /// Direct queries: the baskets the statement consumes, and for each of
+    /// those with a subnet the query's own replica ("mqo.r.<basket>.<name>"),
+    /// fed by the subnet's root so the query sees every tuple instead of
+    /// competing with the subnet for them.
+    std::set<std::string> consumed;
+    std::map<std::string, core::BasketPtr> replicas;
   };
 
   /// One shared filter stage: a factory that drains `in`, evaluates
@@ -132,6 +141,11 @@ class QuerySetOptimizer {
   };
 
   Status AddDirect(const std::string& name, QueryInfo info);
+  /// True if `q` reads `basket` through the basket's subnet when it has one.
+  static bool IsMember(const QueryInfo& q, const std::string& basket);
+  /// The basket a member query is fed through in `basket`'s subnet.
+  static const core::BasketPtr& FeedOf(const QueryInfo& q,
+                                       const std::string& basket);
   Status AddShared(const std::string& name, QueryInfo info);
 
   /// Tears down `basket`'s current subnet (unregister + drain), rebuilds

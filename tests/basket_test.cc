@@ -203,6 +203,81 @@ TEST(BasketExprTest, TopNInArrivalOrder) {
   EXPECT_EQ(b->size(), 2u);
 }
 
+TEST(BasketExprTest, TopNKeyedWindowLeavesRestInOrder) {
+  auto b = std::make_shared<Basket>("s", StreamSchema());
+  ASSERT_TRUE(b->Append(MakeBatch({5, 3, 9, 1, 7, 3, 8}), 0).ok());
+  BasketExpression be(b);
+  be.Top(3).OrderBy({{Expr::Col("payload"), true}});
+  EvalContext ctx;
+  auto out = be.Evaluate(ctx);
+  ASSERT_TRUE(out.ok());
+  ASSERT_EQ(out->num_rows(), 3u);
+  // Sorted output; the tie on 3 resolves in arrival order.
+  EXPECT_EQ(out->column(1).ints(), (std::vector<int64_t>{1, 3, 3}));
+  // The rest stays in arrival order.
+  EXPECT_EQ(b->Peek().column(1).ints(), (std::vector<int64_t>{5, 9, 7, 8}));
+}
+
+TEST(BasketExprTest, TopNOverSortedBacklogConsumesPrefix) {
+  auto b = std::make_shared<Basket>("s", StreamSchema());
+  for (int64_t i = 0; i < 10; ++i) {
+    ASSERT_TRUE(b->Append(MakeBatch({i}, /*tag=*/i), 0).ok());
+  }
+  BasketExpression be(b);
+  be.Top(4).OrderBy({{Expr::Col("tag"), true}});
+  EvalContext ctx;
+  for (int64_t first : {0, 4}) {
+    auto out = be.Evaluate(ctx);
+    ASSERT_TRUE(out.ok());
+    ASSERT_EQ(out->num_rows(), 4u);
+    EXPECT_EQ(out->column(1).ints(),
+              (std::vector<int64_t>{first, first + 1, first + 2, first + 3}));
+  }
+  // Two rows left: the window waits and consumes nothing.
+  auto out = be.Evaluate(ctx);
+  ASSERT_TRUE(out.ok());
+  EXPECT_EQ(out->num_rows(), 0u);
+  EXPECT_EQ(b->Peek().column(1).ints(), (std::vector<int64_t>{8, 9}));
+}
+
+TEST(BasketExprTest, TopNPredicateWindowDescending) {
+  auto b = std::make_shared<Basket>("s", StreamSchema());
+  ASSERT_TRUE(b->Append(MakeBatch({4, 11, 2, 15, 12, 6}), 0).ok());
+  BasketExpression be(b);
+  be.Where(Expr::Bin(BinaryOp::kGt, Expr::Col("payload"), Expr::Lit(5)))
+      .Top(2)
+      .OrderBy({{Expr::Col("payload"), false}});
+  EvalContext ctx;
+  auto out = be.Evaluate(ctx);
+  ASSERT_TRUE(out.ok());
+  EXPECT_EQ(out->column(1).ints(), (std::vector<int64_t>{15, 12}));
+  EXPECT_EQ(b->Peek().column(1).ints(), (std::vector<int64_t>{4, 11, 2, 6}));
+  // The two qualifying rows left (11, 6) fill the window again.
+  out = be.Evaluate(ctx);
+  ASSERT_TRUE(out.ok());
+  EXPECT_EQ(out->column(1).ints(), (std::vector<int64_t>{11, 6}));
+  // One qualifying row short of a window: nothing returned or consumed.
+  ASSERT_TRUE(b->Append(MakeBatch({30, 1}), 0).ok());
+  out = be.Evaluate(ctx);
+  ASSERT_TRUE(out.ok());
+  EXPECT_EQ(out->num_rows(), 0u);
+  EXPECT_EQ(b->Peek().column(1).ints(), (std::vector<int64_t>{4, 2, 30, 1}));
+}
+
+TEST(BasketExprTest, WholeBasketWindowSharesTheSnapshot) {
+  auto b = std::make_shared<Basket>("s", StreamSchema());
+  ASSERT_TRUE(b->Append(MakeBatch({1, 2, 3}), 0).ok());
+  const Table before = b->Peek();
+  BasketExpression be(b);
+  EvalContext ctx;
+  auto out = be.Evaluate(ctx);
+  ASSERT_TRUE(out.ok());
+  // A plain `select *` window returns the rows without copying them.
+  EXPECT_TRUE(out->column(1).SharesStorageWith(before.column(1)));
+  EXPECT_EQ(out->column(1).ints(), (std::vector<int64_t>{1, 2, 3}));
+  EXPECT_EQ(b->size(), 0u);
+}
+
 TEST(BasketExprTest, SlidingWindowExpiry) {
   auto b = std::make_shared<Basket>("s", StreamSchema());
   // Tuples arrive at t=0 and t=100.

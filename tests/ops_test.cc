@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cmath>
+#include <climits>
 #include <cstring>
 #include <thread>
 
@@ -426,6 +429,84 @@ TEST(ProjectTest, EmptyInputKeepsSchema) {
   EXPECT_EQ(out->schema().field(0).type, DataType::kDouble);
 }
 
+// Top-n selection must equal the stable sort's prefix for every input
+// shape: pre-sorted (the O(n) prefix check), reverse-sorted and random,
+// with ties, NULLs, DESC and multi-key orders.
+TEST(SortTest, TopNEqualsStableSortPrefix) {
+  EvalContext ctx;
+  const std::vector<std::vector<SortKey>> orders = {
+      {{Expr::Col("a"), true}},
+      {{Expr::Col("a"), false}},
+      {{Expr::Col("a"), true}, {Expr::Col("b"), false}},
+      {{Expr::Col("b"), false}, {Expr::Col("a"), true}},
+      {{Expr::Col("d"), true}}};
+  for (uint64_t seed = 1; seed <= 12; ++seed) {
+    Random rng(seed);
+    const size_t n = 1 + rng.Uniform(300);
+    for (int shape = 0; shape < 3; ++shape) {
+      Table t(Schema({{"a", DataType::kInt64},
+                      {"b", DataType::kString},
+                      {"d", DataType::kDouble}}));
+      for (size_t i = 0; i < n; ++i) {
+        int64_t a = rng.UniformRange(0, 20);  // random, with ties
+        if (shape == 0) a = static_cast<int64_t>(i / 3);
+        if (shape == 1) a = static_cast<int64_t>(n - i / 3);
+        const Value av = rng.Bernoulli(0.05) ? Value::Null() : Value(a);
+        const Value bv = rng.Bernoulli(0.05)
+                             ? Value::Null()
+                             : Value(std::string(1, 'a' + rng.Uniform(4)));
+        const Value dv =
+            rng.Bernoulli(0.05)
+                ? Value(std::nan(""))
+                : Value(static_cast<double>(rng.UniformRange(-5, 5)));
+        ASSERT_TRUE(t.AppendRow({av, bv, dv}).ok());
+      }
+      for (const std::vector<SortKey>& keys : orders) {
+        auto sorted = ops::SortIndices(t, keys, ctx);
+        ASSERT_TRUE(sorted.ok());
+        for (size_t k : {size_t{1}, size_t{7}, n / 2, n, n + 5}) {
+          auto top = ops::TopNIndices(t, keys, k, ctx);
+          ASSERT_TRUE(top.ok());
+          SelVector expect(sorted->begin(),
+                           sorted->begin() + static_cast<std::ptrdiff_t>(
+                                                 std::min(k, n)));
+          EXPECT_EQ(*top, expect) << "seed " << seed << " shape " << shape
+                                  << " n " << n << " k " << k;
+        }
+      }
+    }
+  }
+}
+
+TEST(SortTest, TopNTiesInArrivalOrderNullsFirst) {
+  Table t(Schema({{"k", DataType::kInt64}}));
+  for (const Value& v : {Value(2), Value(1), Value::Null(), Value(1),
+                         Value::Null(), Value(2)}) {
+    ASSERT_TRUE(t.AppendRow({v}).ok());
+  }
+  EvalContext ctx;
+  auto top = ops::TopNIndices(t, {{Expr::Col("k"), true}}, 4, ctx);
+  ASSERT_TRUE(top.ok());
+  EXPECT_EQ(*top, (SelVector{2, 4, 1, 3}));
+  top = ops::TopNIndices(t, {{Expr::Col("k"), false}}, 3, ctx);
+  ASSERT_TRUE(top.ok());
+  EXPECT_EQ(*top, (SelVector{0, 5, 1}));
+}
+
+TEST(SortTest, NaNSortsAfterNumbers) {
+  Table t(Schema({{"d", DataType::kDouble}}));
+  for (double v : {2.0, std::nan(""), -1.0, std::nan(""), 0.5}) {
+    ASSERT_TRUE(t.AppendRow({Value(v)}).ok());
+  }
+  EvalContext ctx;
+  auto perm = ops::SortIndices(t, {{Expr::Col("d"), true}}, ctx);
+  ASSERT_TRUE(perm.ok());
+  EXPECT_EQ(*perm, (SelVector{2, 4, 0, 1, 3}));
+  auto top = ops::TopNIndices(t, {{Expr::Col("d"), false}}, 3, ctx);
+  ASSERT_TRUE(top.ok());
+  EXPECT_EQ(*top, (SelVector{1, 3, 0}));
+}
+
 TEST(AggregateTest, MinMaxOverStrings) {
   Table t = Orders();
   EvalContext ctx;
@@ -460,6 +541,350 @@ TEST(AggregateTest, NullGroupKeysFormAGroup) {
   // First-seen order: the NULL group first with sum 4.
   EXPECT_TRUE(out->GetRow(0)[0].is_null());
   EXPECT_EQ(out->GetRow(0)[1], Value(int64_t{4}));
+}
+
+// --- Grouped aggregation against a plain reference ------------------------
+// The reference groups rows by a boxed key (validity, then the cell's bit
+// pattern or string), in first-seen order, and folds each group row by
+// row: int64 sums wrap as uint64, double sums add in row order, min/max
+// keep the incumbent unless the challenger is strictly better, and int avg
+// divides the exact integer sum.
+
+struct RefCell {
+  bool valid = false;
+  uint64_t bits = 0;
+  std::string str;
+  bool operator==(const RefCell& o) const {
+    return valid == o.valid && (!valid || (bits == o.bits && str == o.str));
+  }
+};
+
+RefCell CellOf(const Column& c, size_t i) {
+  RefCell cell;
+  cell.valid = c.IsValid(i);
+  if (!cell.valid) return cell;
+  switch (c.type()) {
+    case DataType::kInt64:
+    case DataType::kTimestamp:
+      cell.bits = static_cast<uint64_t>(c.ints()[i]);
+      break;
+    case DataType::kDouble:
+      std::memcpy(&cell.bits, &c.doubles()[i], sizeof(double));
+      break;
+    case DataType::kBool:
+      cell.bits = c.bools()[i];
+      break;
+    case DataType::kString:
+      cell.str = c.strings()[i];
+      break;
+  }
+  return cell;
+}
+
+// True if cell a sorts strictly before b (both valid, same column type).
+bool RefLess(DataType t, const RefCell& a, const RefCell& b) {
+  switch (t) {
+    case DataType::kInt64:
+    case DataType::kTimestamp:
+      return static_cast<int64_t>(a.bits) < static_cast<int64_t>(b.bits);
+    case DataType::kDouble: {
+      double x, y;
+      std::memcpy(&x, &a.bits, sizeof(double));
+      std::memcpy(&y, &b.bits, sizeof(double));
+      return x < y;
+    }
+    case DataType::kBool:
+      return a.bits < b.bits;
+    case DataType::kString:
+      return a.str < b.str;
+  }
+  return false;
+}
+
+// Expected output cell of one aggregate over the rows of one group.
+RefCell RefAggregate(AggFunc func, const Column& arg,
+                     const std::vector<size_t>& rows) {
+  RefCell out;
+  out.valid = true;
+  if (func == AggFunc::kCountStar) {
+    out.bits = rows.size();
+    return out;
+  }
+  int64_t count = 0;
+  uint64_t isum = 0;
+  double dsum = 0;
+  RefCell ext;
+  for (size_t r : rows) {
+    if (!arg.IsValid(r)) continue;
+    const RefCell v = CellOf(arg, r);
+    if (arg.type() == DataType::kDouble) {
+      dsum += arg.doubles()[r];
+    } else if (IsIntegerPhysical(arg.type())) {
+      isum += static_cast<uint64_t>(arg.ints()[r]);
+    }
+    const bool better = func == AggFunc::kMin ? RefLess(arg.type(), v, ext)
+                                              : RefLess(arg.type(), ext, v);
+    if (count == 0 || better) ext = v;
+    ++count;
+  }
+  const bool is_double = arg.type() == DataType::kDouble;
+  switch (func) {
+    case AggFunc::kCountStar:
+    case AggFunc::kCount:
+      out.bits = static_cast<uint64_t>(count);
+      return out;
+    case AggFunc::kSum:
+      if (count == 0) return RefCell{};
+      if (is_double) {
+        std::memcpy(&out.bits, &dsum, sizeof(double));
+      } else {
+        out.bits = isum;
+      }
+      return out;
+    case AggFunc::kAvg: {
+      if (count == 0) return RefCell{};
+      const double sum =
+          is_double ? dsum : static_cast<double>(static_cast<int64_t>(isum));
+      const double avg = sum / static_cast<double>(count);
+      std::memcpy(&out.bits, &avg, sizeof(double));
+      return out;
+    }
+    case AggFunc::kMin:
+    case AggFunc::kMax:
+      return count == 0 ? RefCell{} : ext;
+  }
+  return out;
+}
+
+// A random table with every key type, NULLs in every column, both signed
+// zeros, two NaN payloads, and int values near the int64 limits.
+Table RandomGroupTable(size_t n, uint64_t seed) {
+  Random rng(seed);
+  Table t(Schema({{"ki", DataType::kInt64},
+                  {"kd", DataType::kDouble},
+                  {"ks", DataType::kString},
+                  {"kb", DataType::kBool},
+                  {"vi", DataType::kInt64},
+                  {"vd", DataType::kDouble}}));
+  const double nan_a = std::nan("1");
+  const double nan_b = std::nan("2");
+  const double doubles[] = {0.0, -0.0, 1.5, -2.25, nan_a, nan_b};
+  const char* strings[] = {"", "a", "ab", "b"};
+  const int64_t big[] = {INT64_MAX, INT64_MIN, INT64_MAX - 1,
+                         (int64_t{1} << 53) + 1, int64_t{1} << 53};
+  for (size_t i = 0; i < n; ++i) {
+    Row row;
+    const auto maybe_null = [&](Value v) {
+      return rng.Bernoulli(0.1) ? Value::Null() : std::move(v);
+    };
+    row.push_back(maybe_null(Value(rng.UniformRange(-3, 3))));
+    row.push_back(maybe_null(Value(doubles[rng.Uniform(6)])));
+    row.push_back(maybe_null(Value(strings[rng.Uniform(4)])));
+    row.push_back(maybe_null(Value(rng.Bernoulli(0.5))));
+    row.push_back(maybe_null(Value(rng.Bernoulli(0.2)
+                                       ? big[rng.Uniform(5)]
+                                       : rng.UniformRange(-1000, 1000))));
+    row.push_back(maybe_null(Value(rng.Bernoulli(0.05)
+                                       ? doubles[rng.Uniform(6)]
+                                       : rng.NextDouble() * 100 - 50)));
+    EXPECT_TRUE(t.AppendRow(row).ok());
+  }
+  return t;
+}
+
+TEST(AggregateTest, GroupByMatchesPlainReference) {
+  const char* key_names[] = {"ki", "kd", "ks", "kb"};
+  const std::vector<std::pair<AggFunc, const char*>> agg_specs = {
+      {AggFunc::kCountStar, nullptr}, {AggFunc::kCount, "vi"},
+      {AggFunc::kSum, "vi"},          {AggFunc::kSum, "vd"},
+      {AggFunc::kAvg, "vi"},          {AggFunc::kAvg, "vd"},
+      {AggFunc::kMin, "vi"},          {AggFunc::kMax, "vi"},
+      {AggFunc::kMin, "vd"},          {AggFunc::kMax, "vd"},
+      {AggFunc::kMin, "ks"},          {AggFunc::kMax, "ks"},
+      {AggFunc::kMin, "kb"},          {AggFunc::kMax, "kb"}};
+  EvalContext ctx;
+  for (uint64_t seed = 1; seed <= 40; ++seed) {
+    Random rng(seed * 7919);
+    const size_t n = rng.Uniform(4) == 0 ? 0 : rng.Uniform(400);
+    Table t = RandomGroupTable(n, seed);
+    // A random non-empty subset of the key columns, in random order.
+    std::vector<size_t> keys;
+    for (size_t k = 0; k < 4; ++k) {
+      if (rng.Bernoulli(0.5)) keys.push_back(k);
+    }
+    if (keys.empty()) keys.push_back(rng.Uniform(4));
+    if (rng.Bernoulli(0.5)) std::reverse(keys.begin(), keys.end());
+    std::vector<GroupItem> groups;
+    for (size_t k : keys) groups.push_back({Expr::Col(key_names[k]), key_names[k]});
+    std::vector<AggItem> aggs;
+    for (size_t a = 0; a < agg_specs.size(); ++a) {
+      const auto& [func, col] = agg_specs[a];
+      aggs.push_back({func, col == nullptr ? nullptr : Expr::Col(col),
+                      "a" + std::to_string(a)});
+    }
+    auto out = ops::Aggregate(t, groups, aggs, ctx);
+    ASSERT_TRUE(out.ok()) << out.status().ToString();
+
+    // Reference grouping: first-seen order, linear search over keys.
+    std::vector<std::vector<RefCell>> ref_keys;
+    std::vector<std::vector<size_t>> ref_rows;
+    for (size_t r = 0; r < n; ++r) {
+      std::vector<RefCell> key;
+      for (size_t k : keys) key.push_back(CellOf(t.column(k), r));
+      size_t g = 0;
+      while (g < ref_keys.size() && !(ref_keys[g] == key)) ++g;
+      if (g == ref_keys.size()) {
+        ref_keys.push_back(key);
+        ref_rows.emplace_back();
+      }
+      ref_rows[g].push_back(r);
+    }
+    ASSERT_EQ(out->num_rows(), ref_keys.size()) << "seed " << seed;
+    for (size_t g = 0; g < ref_keys.size(); ++g) {
+      for (size_t k = 0; k < keys.size(); ++k) {
+        EXPECT_TRUE(CellOf(out->column(k), g) == ref_keys[g][k])
+            << "seed " << seed << " group " << g << " key " << k;
+      }
+      for (size_t a = 0; a < aggs.size(); ++a) {
+        const Column& arg = agg_specs[a].second == nullptr
+                                ? t.column(0)
+                                : *t.GetColumn(agg_specs[a].second).value();
+        EXPECT_TRUE(CellOf(out->column(keys.size() + a), g) ==
+                    RefAggregate(agg_specs[a].first, arg, ref_rows[g]))
+            << "seed " << seed << " group " << g << " agg " << a;
+      }
+    }
+  }
+}
+
+TEST(AggregateTest, DoubleKeysGroupByBitPattern) {
+  Table t(Schema({{"k", DataType::kDouble}}));
+  const double nan_a = std::nan("1");
+  const double nan_b = std::nan("2");
+  for (double v : {0.0, -0.0, nan_a, nan_b, 0.0, nan_a, -0.0}) {
+    ASSERT_TRUE(t.AppendRow({Value(v)}).ok());
+  }
+  EvalContext ctx;
+  auto out = ops::Aggregate(t, {{Expr::Col("k"), "k"}},
+                            {{AggFunc::kCountStar, nullptr, "n"}}, ctx);
+  ASSERT_TRUE(out.ok());
+  // 0.0, -0.0 and the two NaN payloads are four groups, in first-seen
+  // order.
+  ASSERT_EQ(out->num_rows(), 4u);
+  EXPECT_FALSE(std::signbit(out->column(0).doubles()[0]));
+  EXPECT_TRUE(std::signbit(out->column(0).doubles()[1]));
+  EXPECT_EQ(out->column(1).ints(), (std::vector<int64_t>{2, 2, 2, 1}));
+}
+
+TEST(AggregateTest, GroupedEmptyInputHasNoRows) {
+  Table t(Schema({{"g", DataType::kString}, {"v", DataType::kDouble}}));
+  EvalContext ctx;
+  auto out = ops::Aggregate(t, {{Expr::Col("g"), "g"}},
+                            {{AggFunc::kSum, Expr::Col("v"), "s"},
+                             {AggFunc::kCountStar, nullptr, "n"}},
+                            ctx);
+  ASSERT_TRUE(out.ok());
+  EXPECT_EQ(out->num_rows(), 0u);
+  ASSERT_EQ(out->num_columns(), 3u);
+  EXPECT_EQ(out->schema().field(1).type, DataType::kDouble);
+}
+
+TEST(AggregateTest, AllNullArgumentsGiveNullSumAndZeroCount) {
+  Table t(Schema({{"g", DataType::kInt64}, {"v", DataType::kInt64}}));
+  ASSERT_TRUE(t.AppendRow({Value(1), Value::Null()}).ok());
+  ASSERT_TRUE(t.AppendRow({Value(1), Value::Null()}).ok());
+  EvalContext ctx;
+  auto out = ops::Aggregate(t, {{Expr::Col("g"), "g"}},
+                            {{AggFunc::kSum, Expr::Col("v"), "s"},
+                             {AggFunc::kCount, Expr::Col("v"), "c"},
+                             {AggFunc::kAvg, Expr::Col("v"), "a"},
+                             {AggFunc::kMin, Expr::Col("v"), "mn"},
+                             {AggFunc::kCountStar, nullptr, "n"}},
+                            ctx);
+  ASSERT_TRUE(out.ok());
+  ASSERT_EQ(out->num_rows(), 1u);
+  const Row row = out->GetRow(0);
+  EXPECT_TRUE(row[1].is_null());
+  EXPECT_EQ(row[2], Value(int64_t{0}));
+  EXPECT_TRUE(row[3].is_null());
+  EXPECT_TRUE(row[4].is_null());
+  EXPECT_EQ(row[5], Value(int64_t{2}));
+}
+
+TEST(AggregateTest, GroupedIntSumWrapsAround) {
+  Table t(Schema({{"g", DataType::kInt64}, {"v", DataType::kInt64}}));
+  ASSERT_TRUE(t.AppendRow({Value(0), Value(INT64_MAX)}).ok());
+  ASSERT_TRUE(t.AppendRow({Value(0), Value(2)}).ok());
+  EvalContext ctx;
+  auto out = ops::Aggregate(t, {{Expr::Col("g"), "g"}},
+                            {{AggFunc::kSum, Expr::Col("v"), "s"}}, ctx);
+  ASSERT_TRUE(out.ok());
+  EXPECT_EQ(out->GetRow(0)[1], Value(INT64_MIN + 1));
+}
+
+// Grouped int64 min/max compare exactly; they used to compare as double,
+// where 2^53 and 2^53 + 1 tie and the first value seen won.
+TEST(AggregateTest, GroupedIntMinMaxExactBeyond2Pow53) {
+  const int64_t lo = int64_t{1} << 53;
+  Table t(Schema({{"g", DataType::kInt64}, {"v", DataType::kInt64}}));
+  ASSERT_TRUE(t.AppendRow({Value(0), Value(lo + 1)}).ok());
+  ASSERT_TRUE(t.AppendRow({Value(0), Value(lo)}).ok());
+  ASSERT_TRUE(t.AppendRow({Value(1), Value(lo)}).ok());
+  ASSERT_TRUE(t.AppendRow({Value(1), Value(lo + 1)}).ok());
+  EvalContext ctx;
+  auto out = ops::Aggregate(t, {{Expr::Col("g"), "g"}},
+                            {{AggFunc::kMin, Expr::Col("v"), "mn"},
+                             {AggFunc::kMax, Expr::Col("v"), "mx"}},
+                            ctx);
+  ASSERT_TRUE(out.ok());
+  ASSERT_EQ(out->num_rows(), 2u);
+  for (size_t g = 0; g < 2; ++g) {
+    EXPECT_EQ(out->GetRow(g)[1], Value(lo)) << "group " << g;
+    EXPECT_EQ(out->GetRow(g)[2], Value(lo + 1)) << "group " << g;
+  }
+}
+
+// Grouped int avg divides the exact integer sum, as the global fold does;
+// it used to add each value into a double, losing the small addends.
+TEST(AggregateTest, GroupedIntAvgUsesExactSum) {
+  const int64_t big = int64_t{1} << 53;
+  Table t(Schema({{"g", DataType::kInt64}, {"v", DataType::kInt64}}));
+  for (int64_t v : {big, int64_t{1}, int64_t{1}}) {
+    ASSERT_TRUE(t.AppendRow({Value(0), Value(v)}).ok());
+  }
+  EvalContext ctx;
+  const std::vector<AggItem> aggs = {{AggFunc::kAvg, Expr::Col("v"), "a"}};
+  auto grouped = ops::Aggregate(t, {{Expr::Col("g"), "g"}}, aggs, ctx);
+  auto global = ops::Aggregate(t, {}, aggs, ctx);
+  ASSERT_TRUE(grouped.ok());
+  ASSERT_TRUE(global.ok());
+  const double expect = static_cast<double>(big + 2) / 3.0;
+  EXPECT_EQ(grouped->GetRow(0)[1], Value(expect));
+  EXPECT_EQ(global->GetRow(0)[0], Value(expect));
+  EXPECT_NE(expect, (static_cast<double>(big) + 1.0 + 1.0) / 3.0);
+}
+
+TEST(AggregateTest, ManyGroupsKeepFirstSeenOrder) {
+  // More distinct keys than the group table's initial 64k slots hold at
+  // half load, so it grows while groups keep arriving.
+  Table t(Schema({{"k", DataType::kInt64}}));
+  std::vector<int64_t> order;
+  Random rng(99);
+  for (int i = 0; i < 40000; ++i) {
+    order.push_back(static_cast<int64_t>(rng.Next() >> 1));
+  }
+  // Every key twice, the second pass after the table has grown.
+  for (int pass = 0; pass < 2; ++pass) {
+    for (const int64_t k : order) t.column(0).AppendInt(k);
+  }
+  EvalContext ctx;
+  auto out = ops::Aggregate(t, {{Expr::Col("k"), "k"}},
+                            {{AggFunc::kCountStar, nullptr, "n"}}, ctx);
+  ASSERT_TRUE(out.ok());
+  EXPECT_EQ(out->column(0).ints(), order);
+  for (size_t g = 0; g < out->num_rows(); ++g) {
+    ASSERT_EQ(out->column(1).ints()[g], 2);
+  }
 }
 
 TEST(DeleteTest, DeleteWhere) {

@@ -355,6 +355,83 @@ TEST_F(PlanFixture, DropLeavesSiblingResultsByteIdentical) {
   EXPECT_FALSE(keep_all[0].empty());
 }
 
+// A query the optimizer cannot compile (here a stream x table join, two
+// FROM sources) runs direct. On a basket with a shared subnet it is fed
+// from the subnet's root through its own replica, whichever registered
+// first, instead of competing with the subnet for the tuples.
+TEST_F(PlanFixture, DirectQueryOnSharedBasketSeesEveryTuple) {
+  const std::string filter = "select * from [select * from s where a > 10]";
+  const std::string join =
+      "select x.a, r.w from [select * from s] as x, ref as r where x.b = r.b";
+  const std::string setup =
+      "create basket s (a int, b int); create table ref (b int, w int); "
+      "insert into ref values (1, 100), (2, 200), (3, 300);";
+  const std::vector<std::string> feeds = {
+      "insert into s values (11, 1), (5, 2), (12, 3), (40, 2)",
+      "insert into s values (7, 3), (50, 1), (13, 2)"};
+
+  // Ground truth: each query alone on a fresh engine, legacy wiring.
+  auto alone = [&](const std::string& sql) {
+    std::vector<std::string> out;
+    SimulatedClock clock(0);
+    core::Engine engine(&clock);
+    Session session(&engine);
+    EXPECT_TRUE(session.Execute(setup).ok());
+    EXPECT_TRUE(session.RegisterContinuousSelect("q", sql, Collect(&out)).ok());
+    for (const std::string& feed : feeds) {
+      EXPECT_TRUE(session.Execute(feed).ok());
+      EXPECT_TRUE(engine.scheduler().RunUntilQuiescent().ok());
+    }
+    return out;
+  };
+  const std::vector<std::string> want_filter = alone(filter);
+  const std::vector<std::string> want_join = alone(join);
+  ASSERT_EQ(want_filter.size(), 5u);
+  ASSERT_EQ(want_join.size(), 7u);
+
+  for (bool join_first : {false, true}) {
+    SimulatedClock clock(0);
+    core::Engine engine(&clock);
+    Session session(&engine);
+    ASSERT_TRUE(session.Execute(setup).ok());
+    session.set_sharing_enabled(true);
+    std::vector<std::string> got_filter, got_join;
+    const auto add_filter = [&] {
+      ASSERT_TRUE(session
+                      .RegisterContinuousSelect("filter", filter,
+                                                Collect(&got_filter))
+                      .ok());
+    };
+    const auto add_join = [&] {
+      ASSERT_TRUE(
+          session.RegisterContinuousSelect("join", join, Collect(&got_join))
+              .ok());
+    };
+    if (join_first) {
+      add_join();
+      add_filter();
+    } else {
+      add_filter();
+      add_join();
+    }
+    EXPECT_TRUE(engine.HasBasket("mqo.r.s.join")) << join_first;
+    for (const std::string& feed : feeds) {
+      ASSERT_TRUE(session.Execute(feed).ok());
+      ASSERT_TRUE(engine.scheduler().RunUntilQuiescent().ok());
+    }
+    EXPECT_EQ(got_filter, want_filter) << "join_first " << join_first;
+    EXPECT_EQ(got_join, want_join) << "join_first " << join_first;
+
+    // Dropping the join drops its replica; the filter keeps its stream.
+    ASSERT_TRUE(session.UnregisterContinuousQuery("join").ok());
+    EXPECT_FALSE(engine.HasBasket("mqo.r.s.join"));
+    ASSERT_TRUE(session.Execute("insert into s values (99, 1)").ok());
+    ASSERT_TRUE(engine.scheduler().RunUntilQuiescent().ok());
+    ASSERT_EQ(got_filter.size(), want_filter.size() + 1);
+    EXPECT_EQ(got_join, want_join);
+  }
+}
+
 TEST_F(PlanFixture, DuplicateNameAndMissingNameAreCleanErrors) {
   Exec("create basket s (a int)");
   ASSERT_TRUE(session_

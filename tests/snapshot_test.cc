@@ -6,7 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "column/column.h"
@@ -107,6 +110,75 @@ TEST(ColumnCowTest, StringColumnsShareAndDetach) {
 }
 
 // --- O(1) prefix consumption and compaction --------------------------------
+
+// --- Empty-column adoption --------------------------------------------------
+// Appending into an empty column adopts the source's buffers copy-on-write;
+// from then on the two columns behave like a snapshot pair.
+
+TEST(ColumnAdoptTest, AppendIntoEmptySharesStorage) {
+  const Column src = IntColumn(0, 100);
+  Column dst(DataType::kInt64);
+  ASSERT_TRUE(dst.AppendColumn(src).ok());
+  EXPECT_TRUE(dst.SharesStorageWith(src));
+  EXPECT_EQ(ToVector(std::as_const(dst).ints()), ToVector(src.ints()));
+  // Appending an empty column changes nothing and shares nothing.
+  Column empty(DataType::kInt64);
+  ASSERT_TRUE(empty.AppendColumn(Column(DataType::kInt64)).ok());
+  EXPECT_TRUE(empty.empty());
+}
+
+TEST(ColumnAdoptTest, MutatingEitherSideLeavesTheOtherIntact) {
+  // Each mutation runs once on the adopting side and once on the source.
+  const std::vector<void (*)(Column*)> mutations = {
+      [](Column* c) { c->AppendInt(-1); },
+      [](Column* c) { c->EraseRows({1, 3, 5}); },
+      [](Column* c) { c->ErasePrefix(10); },
+      [](Column* c) { c->KeepRows({0, 2}); },
+      [](Column* c) { c->Clear(); },
+      [](Column* c) { c->ints()[0] = 42; },
+  };
+  for (size_t m = 0; m < mutations.size(); ++m) {
+    for (bool mutate_source : {false, true}) {
+      Column src = IntColumn(0, 40);
+      Column dst(DataType::kInt64);
+      ASSERT_TRUE(dst.AppendColumn(src).ok());
+      const std::vector<int64_t> expect = ToVector(std::as_const(src).ints());
+      Column& mutated = mutate_source ? src : dst;
+      const Column& other = mutate_source ? dst : src;
+      mutations[m](&mutated);
+      EXPECT_EQ(ToVector(other.ints()), expect)
+          << "mutation " << m << (mutate_source ? " of the source" : "");
+    }
+  }
+}
+
+TEST(ColumnAdoptTest, AdoptsHeadOffsetValidityAndStrings) {
+  Column src(DataType::kString);
+  for (int i = 0; i < 8; ++i) {
+    if (i % 3 == 0) {
+      src.AppendNull();
+    } else {
+      src.AppendString("s" + std::to_string(i));
+    }
+  }
+  src.ErasePrefix(2);
+  Column dst(DataType::kString);
+  ASSERT_TRUE(dst.AppendColumn(src).ok());
+  EXPECT_TRUE(dst.SharesStorageWith(src));
+  ASSERT_EQ(dst.size(), 6u);
+  for (size_t i = 0; i < dst.size(); ++i) {
+    EXPECT_EQ(dst.GetValue(i), src.GetValue(i)) << i;
+  }
+  // A later append detaches only the writer, keeping validity aligned.
+  dst.AppendNull();
+  dst.AppendString("tail");
+  EXPECT_FALSE(dst.SharesStorageWith(src));
+  EXPECT_EQ(src.size(), 6u);
+  EXPECT_TRUE(dst.GetValue(6).is_null());
+  EXPECT_EQ(dst.GetValue(7), Value("tail"));
+  EXPECT_TRUE(dst.GetValue(1).is_null());  // row 3 of the original
+  EXPECT_EQ(dst.GetValue(0), Value("s2"));
+}
 
 TEST(ColumnHeadTest, ErasePrefixAdvancesHeadWithoutCopy) {
   Column c = IntColumn(0, 100);
@@ -322,6 +394,59 @@ TEST(BasketSnapshotTest, TopNBatchDoesNotConsumeUnderfilledWindow) {
   EXPECT_EQ(full->num_rows(), 5u);
   EXPECT_EQ(full->column(0).ints()[0], 6);
   EXPECT_EQ(b->size(), 0u);
+}
+
+TEST(BasketSnapshotTest, AppendIntoEmptyBasketSharesStorage) {
+  const Table batch = OneColBatch(0, 64);
+  auto plain = MakeBasket("plain");
+  ASSERT_TRUE(plain->AppendAligned(batch, 0).ok());
+  EXPECT_TRUE(plain->contents().column(0).SharesStorageWith(batch.column(0)));
+  // The arrival-column widening shares the user columns too.
+  auto stamped = std::make_shared<core::Basket>(
+      "stamped", Schema({{"v", DataType::kInt64}}), /*add_arrival_ts=*/true);
+  ASSERT_TRUE(stamped->Append(batch, 7).ok());
+  EXPECT_TRUE(stamped->contents().column(0).SharesStorageWith(batch.column(0)));
+  EXPECT_EQ(stamped->contents().column(1).ints()[63], 7);
+  // A second append detaches the basket; the batch is untouched.
+  ASSERT_TRUE(plain->AppendAligned(OneColBatch(64, 4), 0).ok());
+  EXPECT_FALSE(plain->contents().column(0).SharesStorageWith(batch.column(0)));
+  EXPECT_EQ(batch.num_rows(), 64u);
+  EXPECT_EQ(plain->size(), 68u);
+}
+
+// Fan-out: sibling baskets adopt one batch. Consuming and refilling one
+// sibling must never disturb a reader of another (run under TSan in CI).
+TEST(BasketSnapshotTest, SiblingConsumerDoesNotDisturbReader) {
+  constexpr int kRounds = 200;
+  auto reader_side = MakeBasket("reader");
+  auto consumer_side = MakeBasket("consumer");
+  {
+    const Table batch = OneColBatch(0, 512);
+    ASSERT_TRUE(reader_side->AppendAligned(batch, 0).ok());
+    ASSERT_TRUE(consumer_side->AppendAligned(batch, 0).ok());
+  }
+  ASSERT_TRUE(reader_side->contents().column(0).SharesStorageWith(
+      consumer_side->contents().column(0)));
+  std::atomic<bool> bad{false};
+  std::thread reader([&] {
+    for (int r = 0; r < kRounds; ++r) {
+      const Table snap = reader_side->Peek();
+      int64_t sum = 0;
+      for (int64_t v : snap.column(0).ints()) sum += v;
+      if (snap.num_rows() != 512 || sum != 511 * 512 / 2) bad = true;
+    }
+  });
+  for (int r = 0; r < kRounds; ++r) {
+    ASSERT_TRUE(consumer_side->AppendAligned(OneColBatch(r, 200), 0).ok());
+    ASSERT_TRUE(consumer_side->ErasePrefix(100).ok());
+    SelVector odd;
+    for (uint32_t i = 1; i < 50; i += 2) odd.push_back(i);
+    ASSERT_TRUE(consumer_side->EraseRows(odd).ok());
+    if (r % 10 == 9) consumer_side->TakeAll();
+  }
+  reader.join();
+  EXPECT_FALSE(bad.load());
+  EXPECT_EQ(reader_side->size(), 512u);
 }
 
 }  // namespace

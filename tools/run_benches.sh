@@ -15,21 +15,37 @@ if [ ! -d "$build_dir/bench" ]; then
 fi
 
 cd "$build_dir"
+# A bench whose source names BENCH_<name>.json must write that report on
+# every run; a stale copy from an earlier run is removed first so a bench
+# that stopped writing it cannot pass unnoticed.
+missing=""
 for b in bench/bench_*; do
   [ -x "$b" ] || continue
+  name=${b#bench/bench_}
+  report="BENCH_$name.json"
+  expects=0
+  if grep -q "$report" "$repo_root/bench/bench_$name.cc" 2>/dev/null; then
+    expects=1
+    rm -f "$report"
+  fi
   echo "== $b =="
   "./$b"
   echo
+  if [ "$expects" = 1 ] && [ ! -e "$report" ]; then
+    echo "ERROR: $b wrote no $report" >&2
+    missing="$missing $report"
+  fi
 done
 
-found=0
 for j in BENCH_*.json; do
   [ -e "$j" ] || continue
   cp -f "$j" "$repo_root/$j"
   echo "collected $j -> $repo_root/$j"
-  found=1
 done
-[ "$found" = 1 ] || echo "note: no BENCH_*.json emitted" >&2
+if [ -n "$missing" ]; then
+  echo "ERROR: reports missing:$missing" >&2
+  exit 1
+fi
 
 # The latency-reporting benches must carry percentile fields (DESIGN.md §10).
 for j in BENCH_lroad.json BENCH_gateway_fanin.json; do
