@@ -22,6 +22,7 @@
 #include "net/actuator.h"
 #include "net/gateway.h"
 #include "net/sensor.h"
+#include "net/shard.h"
 #include "util/clock.h"
 #include "util/logging.h"
 
@@ -115,8 +116,10 @@ Result<RunResult> RunWithKernel(uint64_t num_tuples, int num_queries) {
   // Tuple-at-a-time ingress (max batch 1): the paper's processing model in
   // this experiment, which is what makes the per-query kernel cost visible
   // next to the communication overhead.
-  net::TcpIngress ingress(receptor, net::Codec(stream), clock,
-                          /*max_batch_rows=*/1);
+  net::ShardedIngressOptions ingress_opts;
+  ingress_opts.max_batch_rows = 1;
+  net::ShardedIngress ingress({receptor}, net::Codec(stream), clock,
+                              ingress_opts);
   RETURN_NOT_OK(ingress.Start());
   RETURN_NOT_OK(scheduler.Start());
 

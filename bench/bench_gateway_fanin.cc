@@ -1,5 +1,5 @@
-// Gateway fan-in: N concurrent sensor connections multiplexed by one
-// poll-based ingress into a capacity-bounded basket.
+// Gateway fan-in: N concurrent sensor connections multiplexed by a
+// one-shard ingress (one epoll reactor) into a capacity-bounded basket.
 //
 // The consumer drains the basket at a bounded rate, so the sensors
 // collectively outpace it and the credit valve must engage: the gateway
@@ -18,8 +18,8 @@
 
 #include "core/basket.h"
 #include "core/receptor.h"
-#include "net/gateway.h"
 #include "net/sensor.h"
+#include "net/shard.h"
 #include "obs/metrics.h"
 #include "util/clock.h"
 
@@ -63,8 +63,10 @@ RunResult Run(const Config& cfg) {
   auto receptor = std::make_shared<core::Receptor>("r");
   receptor->AddOutput(basket);
 
-  net::TcpIngress ingress(receptor, net::Codec(stream), clock,
-                          cfg.max_batch_rows, /*max_connections=*/256);
+  net::ShardedIngressOptions opts;
+  opts.max_batch_rows = cfg.max_batch_rows;
+  opts.max_connections = 256;
+  net::ShardedIngress ingress({receptor}, net::Codec(stream), clock, opts);
   if (!ingress.Start().ok()) {
     std::fprintf(stderr, "ingress start failed\n");
     std::exit(1);

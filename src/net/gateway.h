@@ -1,181 +1,15 @@
 #ifndef DATACELL_NET_GATEWAY_H_
 #define DATACELL_NET_GATEWAY_H_
 
-#include <atomic>
 #include <memory>
-#include <optional>
 #include <string>
-#include <thread>
 #include <utility>
-#include <vector>
 
-#include "core/basket.h"
 #include "core/receptor.h"
-#include "net/codec.h"
 #include "net/socket.h"
-#include "net/wakeup.h"
-#include "obs/metrics.h"
-#include "util/clock.h"
 #include "util/status.h"
 
-namespace datacell::storage {
-class IngestLog;
-}  // namespace datacell::storage
-
 namespace datacell::net {
-
-/// Kernel-side ingress: a single poll-based event loop that accepts and
-/// multiplexes many concurrent sensor connections on one TCP port and
-/// forwards their tuples into a core::Receptor. This is the network half of
-/// the paper's receptor thread — it validates each event's structure (via
-/// the codec) and pushes batches into the baskets.
-///
-/// Per connection, the first line must be the schema header and must match
-/// the receptor's stream schema (connections failing the handshake are
-/// dropped individually; the others keep streaming). Incoming bursts are
-/// drained into Deliver() batches bounded by `max_batch_rows`.
-///
-/// Flow control: when any output basket declares a capacity bound
-/// (Basket::SetCapacity), the reactor delivers at most the remaining credit
-/// and stops reading from its sockets when credit reaches zero — TCP
-/// push-back to the sensors instead of dropping — resuming once the baskets
-/// drain to their low watermark (signalled through the basket listener
-/// hooks). Basket::Disable() keeps its paper semantics: a disabled basket
-/// still *drops*.
-///
-/// Scraping: a connection whose first line is `STATS` (instead of a schema
-/// header) receives one key=value line of ingress and basket state and is
-/// closed — `echo STATS | nc host port` monitors a live server without
-/// touching the stream path.
-///
-/// Durability: with EnableIngestLog(), every delivered batch is first
-/// appended (sequence-numbered) to the ingest log, so a crash after the
-/// gateway accepted tuples can replay them on restart. A connection whose
-/// first line is `SEQ` receives `SEQ <last_seq>\n` — the highest sequence
-/// number the log has accepted for this stream — and is closed; a sensor
-/// reconnecting after a server crash uses it to resume from the right
-/// offset instead of re-sending (or skipping) tuples blindly.
-class TcpIngress {
- public:
-  TcpIngress(core::ReceptorPtr receptor, Codec codec, Clock* clock,
-             size_t max_batch_rows = 1024, size_t max_connections = 256)
-      : receptor_(std::move(receptor)),
-        codec_(std::move(codec)),
-        clock_(clock),
-        max_batch_rows_(max_batch_rows == 0 ? 1 : max_batch_rows),
-        max_connections_(max_connections == 0 ? 1 : max_connections) {
-    obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
-    m_tuples_ = reg.GetCounter("gateway.tuples_received");
-    m_dropped_ = reg.GetCounter("gateway.tuples_dropped");
-    m_connections_ = reg.GetCounter("gateway.connections");
-    m_bp_engaged_ = reg.GetCounter("gateway.backpressure_engagements");
-  }
-  ~TcpIngress();
-
-  TcpIngress(const TcpIngress&) = delete;
-  TcpIngress& operator=(const TcpIngress&) = delete;
-
-  /// Installs the ingest log: every batch is appended to `log` under
-  /// `stream` (empty = the first output basket's name) *before* it is
-  /// delivered to the baskets — write-ahead, so nothing the engine saw is
-  /// missing from the log. Call before Start(); the log must outlive the
-  /// ingress.
-  void EnableIngestLog(storage::IngestLog* log, std::string stream = "");
-
-  /// Binds (port 0 = ephemeral) and spawns the reactor thread.
-  Status Start(uint16_t port = 0);
-  uint16_t port() const { return port_; }
-
-  /// True once at least one sensor connected, every accepted connection has
-  /// closed, and every decoded tuple has been delivered to the baskets
-  /// (also set unconditionally when the reactor exits after Stop()).
-  /// STATS scrape connections are excluded: a monitoring probe against an
-  /// otherwise idle gateway never reads as a completed sensor session.
-  bool finished() const { return finished_.load(); }
-
-  uint64_t tuples_received() const { return tuples_.load(); }
-  /// Malformed tuples rejected at the boundary (both the first-line and the
-  /// burst-drain paths count here).
-  uint64_t tuples_dropped() const { return dropped_.load(); }
-  uint64_t connections_accepted() const { return accepted_.load(); }
-  size_t active_connections() const { return active_.load(); }
-  /// Times the credit valve closed (reads paused on all connections).
-  uint64_t backpressure_engagements() const { return bp_engaged_.load(); }
-  /// True while reads are paused waiting for the baskets to drain.
-  bool backpressured() const { return paused_.load(); }
-
-  /// Stops the reactor and joins it. Completes in bounded time even with
-  /// connected-but-idle sensors: the loop is woken through a self-pipe, and
-  /// every accepted stream is shut down on exit.
-  void Stop();
-
- private:
-  struct Conn {
-    TcpStream stream;
-    bool handshaken = false;
-    bool eof = false;  // peer half-closed; buffered tail still drains
-  };
-  enum class Drain { kIdle, kPaused, kClose };
-
-  void ReactorLoop();
-  /// Accepts pending connections up to max_connections_.
-  void AcceptPending();
-  /// Reads/parses/delivers for one connection. False → remove it.
-  bool PumpConn(Conn* conn);
-  /// Parses buffered lines into credit-bounded batches and delivers them.
-  Drain DrainBuffered(Conn* conn);
-  /// Next complete line, including the torn EOF tail once the peer closed.
-  std::optional<std::string> NextLine(Conn* conn);
-  /// Validates the schema-header line; false → drop the connection. A
-  /// `STATS` first line is answered with StatsLine() and also closes.
-  bool Handshake(Conn* conn, const std::string& line);
-  /// One-line key=value snapshot of ingress counters and per-basket depth.
-  std::string StatsLine() const;
-  /// Decodes one tuple line into `batch`, counting received vs dropped.
-  void DecodeCount(const std::string& line, Table* batch);
-  /// Closes the credit valve; returns false if credit reappeared (raced
-  /// with a consumer) and reading may continue.
-  bool EngagePause();
-
-  core::ReceptorPtr receptor_;
-  Codec codec_;
-  Clock* clock_;
-  size_t max_batch_rows_;
-  size_t max_connections_;
-  // Optional write-ahead ingest log (null = logging off). Only the reactor
-  // thread appends, so no extra synchronization beyond the log's own.
-  storage::IngestLog* ingest_log_ = nullptr;
-  std::string log_stream_;
-
-  TcpListener listener_;
-  uint16_t port_ = 0;
-  // Self-pipe: basket listeners / Stop() -> poll loop. Owns the
-  // lost-wakeup-free notify/drain ordering (see net/wakeup.h).
-  WakePipe wake_;
-  std::thread thread_;
-  std::vector<std::unique_ptr<Conn>> conns_;
-  // Listener registrations on the receptor's output baskets, undone in
-  // Stop() (they capture `this`).
-  std::vector<std::pair<core::BasketPtr, size_t>> subscriptions_;
-
-  std::atomic<bool> stop_{false};
-  std::atomic<bool> started_{false};
-  std::atomic<bool> finished_{false};
-  std::atomic<bool> paused_{false};
-  std::atomic<uint64_t> tuples_{0};
-  std::atomic<uint64_t> dropped_{0};
-  std::atomic<uint64_t> accepted_{0};
-  // STATS scrape connections answered; accepted_ - scrapes_ is the data
-  // session count the finished() logic watches.
-  std::atomic<uint64_t> scrapes_{0};
-  std::atomic<size_t> active_{0};
-  std::atomic<uint64_t> bp_engaged_{0};
-  // Registry mirrors (gateway.*), resolved in the constructor.
-  obs::Counter* m_tuples_;
-  obs::Counter* m_dropped_;
-  obs::Counter* m_connections_;
-  obs::Counter* m_bp_engaged_;
-};
 
 /// Kernel-side egress: connects to an actuator and provides an
 /// Emitter::Sink that serializes result batches onto the socket. The

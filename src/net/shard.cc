@@ -17,9 +17,9 @@ namespace datacell::net {
 
 namespace {
 
-// Reactor timeouts, mirroring the legacy poll(2) ingress: the wake pipes
-// carry every wakeup that matters, the timeouts only bound recovery from
-// lost races.
+// Reactor timeouts: the wake pipes carry every wakeup that matters (Stop,
+// basket drained past the low watermark); the timeouts only bound recovery
+// from lost races, so they can be long.
 constexpr int kEpollIdleMs = 500;
 constexpr int kEpollPausedMs = 20;
 constexpr int kMaxEvents = 256;
@@ -83,7 +83,6 @@ class ShardedIngress::Shard {
 
   /// Acceptor thread: hands a freshly accepted connection to this shard.
   void Route(TcpStream stream) {
-    active_.fetch_add(1);
     routed_.fetch_add(1);
     {
       MutexLock lock(&mu_);
@@ -97,7 +96,11 @@ class ShardedIngress::Shard {
   const std::string& log_stream() const { return log_stream_; }
   const core::ReceptorPtr& receptor() const { return receptor_; }
   uint64_t routed() const { return routed_.load(); }
-  uint64_t active() const { return active_.load(); }
+  uint64_t closed() const { return closed_.load(); }
+  uint64_t active() const {
+    const uint64_t closed = closed_.load();  // before routed_: no underflow
+    return routed_.load() - closed;
+  }
   uint64_t tuples() const { return tuples_.load(); }
   uint64_t dropped() const { return dropped_.load(); }
   uint64_t bp_engagements() const { return bp_engaged_.load(); }
@@ -155,10 +158,8 @@ class ShardedIngress::Shard {
     // Shut down every owned stream so peers see EOF promptly, including
     // connections still parked in the inbox.
     AdoptInbox();
-    for (auto& [fd, conn] : conns_) {
-      conn->stream.Close();
-      active_.fetch_sub(1);
-    }
+    for (auto& [fd, conn] : conns_) conn->stream.Close();
+    closed_.fetch_add(conns_.size());
     conns_.clear();
   }
 
@@ -178,7 +179,7 @@ class ShardedIngress::Shard {
       ev.data.fd = fd;
       if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev) != 0) {
         DC_LOG(Warn) << "shard epoll add: " << ErrnoString(errno);
-        active_.fetch_sub(1);
+        closed_.fetch_add(1);
         continue;  // conn destructor closes the socket
       }
       conn->armed = true;
@@ -250,8 +251,11 @@ class ShardedIngress::Shard {
       }
       if (batch.num_rows() == 0) return Drain::kIdle;
       if (parent_->ingest_log_ != nullptr) {
-        // Write-ahead under this shard's stream, same contract as the
-        // unsharded gateway: in the log before the engine can observe it.
+        // Write-ahead under this shard's stream: the batch must be in the
+        // log before the engine can observe it, or a crash between the two
+        // would lose tuples the sensor believes were accepted. A log
+        // failure drops the connection rather than silently degrading to
+        // non-durable ingest.
         Result<std::pair<uint64_t, uint64_t>> seqs =
             parent_->ingest_log_->AppendBatch(log_stream_, batch);
         if (!seqs.ok()) {
@@ -275,6 +279,8 @@ class ShardedIngress::Shard {
       return line;
     }
     if (conn->eof) {
+      // Torn partial line at EOF: decode what arrived; the codec decides
+      // whether it happens to be a whole tuple or counts as dropped.
       std::string tail = conn->stream.TakeBufferedRemainder();
       if (!tail.empty()) return tail;
     }
@@ -290,7 +296,9 @@ class ShardedIngress::Shard {
     }
     switch (hello->kind) {
       case HelloKind::kStats: {
-        parent_->scrapes_.fetch_add(1);
+        // Scrape request: answer with one line and close. WriteAll rides
+        // out a full send buffer, so the scraper always sees the complete
+        // line even through a tiny receive window.
         Status st = conn->stream.WriteAll(parent_->StatsLine());
         if (!st.ok()) DC_LOG(Debug) << "shard STATS reply: " << st.ToString();
         return false;
@@ -299,7 +307,6 @@ class ShardedIngress::Shard {
         // The reply is the logical stream's across-shard total: a
         // reconnecting sensor's fd almost always rehashes to a different
         // shard, so any single shard's stream seq would under-report.
-        parent_->scrapes_.fetch_add(1);
         const uint64_t seq = parent_->TotalLoggedSeq();
         Status st =
             conn->stream.WriteAll("SEQ " + std::to_string(seq) + "\n");
@@ -314,6 +321,7 @@ class ShardedIngress::Shard {
       return false;
     }
     conn->handshaken = true;
+    parent_->sessions_.fetch_add(1);
     return true;
   }
 
@@ -323,6 +331,9 @@ class ShardedIngress::Shard {
       tuples_.fetch_add(1);
       parent_->m_tuples_->Increment();
     } else {
+      // Structural validation failure: the tuple acts as if never sent
+      // (the baskets' silent-filter semantics start at the adapter
+      // boundary), but the operator can see it happened.
       dropped_.fetch_add(1);
       parent_->m_dropped_->Increment();
       DC_LOG(Debug) << "shard dropping malformed tuple: " << st.ToString();
@@ -330,8 +341,10 @@ class ShardedIngress::Shard {
   }
 
   /// Closes this shard's credit valve; returns false if credit reappeared
-  /// (raced with a consumer) and reading may continue. Same flag-then-
-  /// recheck dance as the unsharded gateway, per shard.
+  /// (raced with a consumer) and reading may continue. Set the flag first,
+  /// then re-check: a consumer draining concurrently either restores
+  /// credit before the re-check or fires the basket listener after it saw
+  /// paused_ == true (the wake pipe wakes the loop). No release is lost.
   bool EngagePause() {
     const bool was_paused = paused_.exchange(true);
     if (receptor_->BackpressureReleased()) {
@@ -341,6 +354,7 @@ class ShardedIngress::Shard {
     if (!was_paused) {
       bp_engaged_.fetch_add(1);
       parent_->m_bp_engaged_->Increment();
+      // Attribute the stall to the basket(s) that ran out of credit.
       receptor_->NoteCreditStall();
     }
     return true;
@@ -349,7 +363,7 @@ class ShardedIngress::Shard {
   void Arm(Conn* conn, bool on) {
     if (conn->armed == on) return;
     epoll_event ev{};
-    ev.events = on ? EPOLLIN : 0;
+    ev.events = on ? static_cast<uint32_t>(EPOLLIN) : 0u;
     ev.data.fd = conn->stream.fd();
     if (::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, conn->stream.fd(), &ev) == 0) {
       conn->armed = on;
@@ -368,7 +382,7 @@ class ShardedIngress::Shard {
 
   void CloseConn(int fd) {
     conns_.erase(fd);  // stream destructor closes; kernel drops epoll entry
-    active_.fetch_sub(1);
+    closed_.fetch_add(1);
   }
 
   // Wiring set at construction/Start before the reactor thread spawns and
@@ -393,8 +407,9 @@ class ShardedIngress::Shard {
   std::unordered_map<int, std::unique_ptr<Conn>> conns_ DC_UNGUARDED;
 
   std::atomic<bool> paused_{false};
+  // Lifetime counts; active() is their difference.
   std::atomic<uint64_t> routed_{0};
-  std::atomic<uint64_t> active_{0};
+  std::atomic<uint64_t> closed_{0};
   std::atomic<uint64_t> tuples_{0};
   std::atomic<uint64_t> dropped_{0};
   std::atomic<uint64_t> bp_engaged_{0};
@@ -406,7 +421,6 @@ ShardedIngress::ShardedIngress(std::vector<core::ReceptorPtr> shard_receptors,
     : codec_(std::move(codec)), clock_(clock), opts_(opts) {
   if (opts_.max_batch_rows == 0) opts_.max_batch_rows = 1;
   if (opts_.max_connections == 0) opts_.max_connections = 1;
-  opts_.num_shards = shard_receptors.size();
   obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
   m_tuples_ = reg.GetCounter("gateway.tuples_received");
   m_dropped_ = reg.GetCounter("gateway.tuples_dropped");
@@ -509,11 +523,20 @@ void ShardedIngress::AcceptorLoop() {
 }
 
 bool ShardedIngress::finished() const {
-  if (!started_.load()) return stop_.load();  // post-Stop, like TcpIngress
-  const uint64_t accepted = accepted_.load();
-  const uint64_t scrapes = scrapes_.load();
-  if (accepted <= scrapes) return false;
-  return active_connections() == 0;
+  if (!started_.load()) return stop_.load();  // true once stopped
+  // Read order matters. Every counter is monotonic, and a connection is
+  // counted accepted before it can handshake or close; so closed (read
+  // first) == accepted (read last) means every connection accepted up to
+  // the last read had already closed when closed was read.
+  const uint64_t sessions = sessions_.load();
+  const uint64_t closed = ConnectionsClosed();
+  return sessions > 0 && closed == accepted_.load();
+}
+
+uint64_t ShardedIngress::ConnectionsClosed() const {
+  uint64_t total = 0;
+  for (const auto& s : shards_) total += s->closed();
+  return total;
 }
 
 uint64_t ShardedIngress::tuples_received() const {
@@ -529,9 +552,8 @@ uint64_t ShardedIngress::tuples_dropped() const {
 }
 
 size_t ShardedIngress::active_connections() const {
-  uint64_t total = 0;
-  for (const auto& s : shards_) total += s->active();
-  return static_cast<size_t>(total);
+  const uint64_t closed = ConnectionsClosed();  // before accepted_
+  return static_cast<size_t>(accepted_.load() - closed);
 }
 
 uint64_t ShardedIngress::backpressure_engagements() const {
@@ -598,6 +620,16 @@ std::string ShardedIngress::StatsLine() const {
     field(prefix + "active", shards_[i]->active());
     field(prefix + "tuples", shards_[i]->tuples());
     field(prefix + "backpressured", shards_[i]->paused() ? 1 : 0);
+  }
+  for (const auto& shard : shards_) {
+    for (const core::BasketPtr& b : shard->receptor()->outputs()) {
+      const core::Basket::Stats s = b->stats();
+      const std::string prefix = "basket." + b->name() + ".";
+      field(prefix + "rows", b->size());
+      field(prefix + "appended", s.appended);
+      field(prefix + "dropped", s.dropped);
+      field(prefix + "credit_stalls", s.credit_stalls);
+    }
   }
   out += "\n";
   return out;

@@ -8,8 +8,8 @@
 
 namespace datacell::net {
 
-/// Self-pipe wakeup channel shared by every reactor (the legacy poll(2)
-/// ingress and each epoll shard): producers call Notify() to make the
+/// Self-pipe wakeup channel shared by every reactor (the gateway's
+/// acceptor and each epoll shard): producers call Notify() to make the
 /// reactor's next poll/epoll_wait return, the reactor calls Drain() when
 /// the pipe's read end polls readable.
 ///

@@ -17,11 +17,13 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
@@ -84,6 +86,9 @@ class DurabilityTest : public ::testing::Test {
     ASSERT_EQ(::waitpid(pid, &status, 0), pid);
     ASSERT_TRUE(WIFSIGNALED(status));
   }
+
+  // End-to-end datacell_server crash/restart cycle (defined below).
+  void KillAndRecover(size_t shards);
 
   fs::path dir_;
 };
@@ -701,9 +706,11 @@ int64_t ScrapeSeq(uint16_t port) {
 }
 
 pid_t SpawnServer(const std::string& bin, uint16_t port,
-                  uint16_t actuator_port, const std::string& log_path) {
+                  uint16_t actuator_port, const std::string& log_path,
+                  size_t shards) {
   pid_t pid = ::fork();
   if (pid != 0) return pid;
+  ::setenv("DATACELL_SHARDS", std::to_string(shards).c_str(), 1);
   ::setenv("DATACELL_LOG", log_path.c_str(), 1);
   ::setenv("DATACELL_FSYNC", "always", 1);
   int devnull = ::open("/dev/null", O_WRONLY);
@@ -719,12 +726,22 @@ pid_t SpawnServer(const std::string& bin, uint16_t port,
   ::_exit(127);
 }
 
-// SIGKILL a datacell_server mid-ingest, restart it on the same ingest log,
-// and verify (a) the log replays a contiguous prefix, (b) the reconnecting
-// client can query its resume point via SEQ, and (c) the restarted server
-// delivers every logged tuple plus the new ones downstream, then acks the
-// whole log on clean shutdown.
-TEST_F(DurabilityTest, ServerKillAndRecover) {
+// The ingest-log streams a `shards`-way server writes: "b0" unsharded,
+// one "b0.s<k>" per shard otherwise.
+std::vector<std::string> LogStreams(size_t shards) {
+  if (shards == 1) return {"b0"};
+  std::vector<std::string> names;
+  for (size_t k = 0; k < shards; ++k) names.push_back("b0.s" + std::to_string(k));
+  return names;
+}
+
+// SIGKILL a `shards`-way datacell_server mid-ingest, restart it on the same
+// ingest log, and verify (a) the log replays a contiguous prefix of every
+// stream, (b) the reconnecting client can query its resume point via SEQ
+// (the across-shard total), and (c) the restarted server delivers every
+// logged tuple plus the new ones downstream exactly once, then acks every
+// stream on clean shutdown.
+void DurabilityTest::KillAndRecover(size_t shards) {
 #ifndef DATACELL_SERVER_BIN
   GTEST_SKIP() << "datacell_server binary location not configured";
 #else
@@ -733,6 +750,10 @@ TEST_F(DurabilityTest, ServerKillAndRecover) {
     GTEST_SKIP() << "datacell_server not built: " << bin;
   }
   const std::string log_path = Path("server.log");
+  const std::vector<std::string> streams = LogStreams(shards);
+  const auto known_stream = [&](const std::string& name) {
+    return std::find(streams.begin(), streams.end(), name) != streams.end();
+  };
   SystemClock* clock = SystemClock::Get();
 
   // --- Run 1: ingest under pacing, then SIGKILL mid-stream. ---
@@ -742,7 +763,7 @@ TEST_F(DurabilityTest, ServerKillAndRecover) {
     ASSERT_TRUE(actuator.Start(0).ok());
     const uint16_t port = FreePort();
     ASSERT_NE(port, 0);
-    pid_t pid = SpawnServer(bin, port, actuator.port(), log_path);
+    pid_t pid = SpawnServer(bin, port, actuator.port(), log_path, shards);
     ASSERT_GE(pid, 0);
     ASSERT_TRUE(WaitForListen(port, 10000)) << "server never listened";
 
@@ -769,20 +790,23 @@ TEST_F(DurabilityTest, ServerKillAndRecover) {
     sensor.join();
     actuator.WaitFinished();  // server death closes the egress socket
 
-    std::vector<uint64_t> seqs;
+    std::map<std::string, std::vector<uint64_t>> seqs;
     auto report = ReplayIngestLog(
         log_path, [&](const std::string& stream, const Schema&, uint64_t seq,
                       const Row&) -> Status {
-          EXPECT_EQ(stream, "b0");
-          seqs.push_back(seq);
+          EXPECT_TRUE(known_stream(stream)) << stream;
+          seqs[stream].push_back(seq);
           return Status::OK();
         });
     ASSERT_TRUE(report.ok()) << report.status().ToString();
     ASSERT_GT(seqs.size(), 0u) << "kill landed before any tuple was logged";
-    for (size_t i = 0; i < seqs.size(); ++i) {
-      ASSERT_EQ(seqs[i], i + 1) << "crash left a sequence gap";
+    for (const auto& [stream, stream_seqs] : seqs) {
+      for (size_t i = 0; i < stream_seqs.size(); ++i) {
+        ASSERT_EQ(stream_seqs[i], i + 1)
+            << "crash left a sequence gap in " << stream;
+      }
+      logged_before_kill += stream_seqs.size();
     }
-    logged_before_kill = seqs.size();
   }
 
   // --- Run 2: restart on the same log, replay, finish a short session. ---
@@ -791,11 +815,12 @@ TEST_F(DurabilityTest, ServerKillAndRecover) {
     ASSERT_TRUE(actuator.Start(0).ok());
     const uint16_t port = FreePort();
     ASSERT_NE(port, 0);
-    pid_t pid = SpawnServer(bin, port, actuator.port(), log_path);
+    pid_t pid = SpawnServer(bin, port, actuator.port(), log_path, shards);
     ASSERT_GE(pid, 0);
     ASSERT_TRUE(WaitForListen(port, 10000)) << "restart never listened";
 
-    // The gateway tells a reconnecting sensor where the log stands.
+    // The gateway tells a reconnecting sensor where the log stands: the
+    // logical stream's total, whichever shard the probe lands on.
     EXPECT_EQ(ScrapeSeq(port), static_cast<int64_t>(logged_before_kill));
 
     const uint64_t kNewTuples = 100;
@@ -825,11 +850,15 @@ TEST_F(DurabilityTest, ServerKillAndRecover) {
     // is re-delivered, every new tuple delivered, nothing else.
     EXPECT_EQ(actuator.stats().tuples, logged_before_kill + kNewTuples);
 
-    // Clean shutdown acked the whole log: a third start replays nothing.
+    // Clean shutdown acked every stream: a third start replays nothing.
     auto log = IngestLog::Open(log_path, FsyncPolicy::kNone);
     ASSERT_TRUE(log.ok());
-    EXPECT_EQ((*log)->last_seq("b0"), logged_before_kill + kNewTuples);
-    EXPECT_EQ((*log)->acked("b0"), (*log)->last_seq("b0"));
+    uint64_t logged_total = 0;
+    for (const std::string& stream : streams) {
+      EXPECT_EQ((*log)->acked(stream), (*log)->last_seq(stream)) << stream;
+      logged_total += (*log)->last_seq(stream);
+    }
+    EXPECT_EQ(logged_total, logged_before_kill + kNewTuples);
     uint64_t replayed = 0;
     auto report = ReplayIngestLog(
         log_path, [&](const std::string&, const Schema&, uint64_t,
@@ -841,6 +870,16 @@ TEST_F(DurabilityTest, ServerKillAndRecover) {
     EXPECT_EQ(replayed, 0u);
   }
 #endif
+}
+
+TEST_F(DurabilityTest, ServerKillAndRecover) {
+  KillAndRecover(/*shards=*/1);
+}
+
+// The same cycle through four gateway shards: per-shard log streams, SEQ
+// resume across a rehash, and exactly-once accounting over all shards.
+TEST_F(DurabilityTest, ShardedServerKillAndRecover) {
+  KillAndRecover(/*shards=*/4);
 }
 
 }  // namespace

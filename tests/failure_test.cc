@@ -9,7 +9,7 @@
 #include "core/receptor.h"
 #include "core/scheduler.h"
 #include "net/codec.h"
-#include "net/gateway.h"
+#include "net/shard.h"
 #include "net/socket.h"
 #include "sql/session.h"
 #include "util/clock.h"
@@ -221,7 +221,7 @@ TEST(IngressFailureTest, MalformedTuplesSilentlyDropped) {
   auto basket = std::make_shared<core::Basket>("in", StreamSchema());
   auto receptor = std::make_shared<core::Receptor>("r");
   receptor->AddOutput(basket);
-  net::TcpIngress ingress(receptor, net::Codec(StreamSchema()), clock);
+  net::ShardedIngress ingress({receptor}, net::Codec(StreamSchema()), clock);
   ASSERT_TRUE(ingress.Start().ok());
 
   auto conn = net::TcpStream::Connect("127.0.0.1", ingress.port());
@@ -247,14 +247,21 @@ TEST(IngressFailureTest, SchemaMismatchRejectsConnection) {
   auto basket = std::make_shared<core::Basket>("in", StreamSchema());
   auto receptor = std::make_shared<core::Receptor>("r");
   receptor->AddOutput(basket);
-  net::TcpIngress ingress(receptor, net::Codec(StreamSchema()), clock);
+  net::ShardedIngress ingress({receptor}, net::Codec(StreamSchema()), clock);
   ASSERT_TRUE(ingress.Start().ok());
 
   auto conn = net::TcpStream::Connect("127.0.0.1", ingress.port());
   ASSERT_TRUE(conn.ok());
   ASSERT_TRUE(conn->WriteAll("different:int|schema:string\n1|x\n").ok());
   ASSERT_TRUE(conn->ShutdownWrite().ok());
-  for (int i = 0; i < 2000 && !ingress.finished(); ++i) clock->SleepFor(1000);
+  // A rejected handshake is no sensor session, so finished() stays false
+  // until Stop(); wait for the gateway to close the connection instead.
+  for (int i = 0; i < 2000 && (ingress.connections_accepted() == 0 ||
+                               ingress.active_connections() > 0);
+       ++i) {
+    clock->SleepFor(1000);
+  }
+  EXPECT_FALSE(ingress.finished());
   ingress.Stop();
   EXPECT_TRUE(ingress.finished());
   EXPECT_EQ(ingress.tuples_received(), 0u);

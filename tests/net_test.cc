@@ -3,6 +3,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -146,7 +147,7 @@ TEST(SocketTest, ReadLineEof) {
 }
 
 TEST(EndToEndTest, SensorThroughKernelToActuator) {
-  // sensor -> TcpIngress -> basket -> factory(select *) -> out basket ->
+  // sensor -> ShardedIngress -> basket -> factory(select *) -> out basket ->
   // emitter(TcpEgress) -> actuator; the full §6.1 pipeline on loopback.
   SystemClock* clock = SystemClock::Get();
 
@@ -174,7 +175,7 @@ TEST(EndToEndTest, SensorThroughKernelToActuator) {
       std::make_shared<core::Emitter>("e", (*egress)->MakeSink());
   emitter->AddInput(out);
 
-  TcpIngress ingress(receptor, Codec(StreamSchema()), clock);
+  ShardedIngress ingress({receptor}, Codec(StreamSchema()), clock);
   ASSERT_TRUE(ingress.Start().ok());
 
   core::Scheduler sched(clock);
@@ -309,32 +310,49 @@ TEST(CodecTest, SchemaHeaderEmptyFieldNameRejected) {
 // Gateway: multi-client fan-in, fault injection, flow control
 // ---------------------------------------------------------------------------
 
+// One ingress over `shards` receptors, each feeding its own basket
+// "in.s<k>"; the single-reactor gateway is shards == 1.
 struct GatewayFixture {
-  explicit GatewayFixture(size_t max_batch_rows = 1024)
-      : clock(SystemClock::Get()),
-        basket(std::make_shared<core::Basket>("in", StreamSchema())),
-        receptor(std::make_shared<core::Receptor>("r")),
-        ingress(receptor, Codec(StreamSchema()), SystemClock::Get(),
-                max_batch_rows) {
-    receptor->AddOutput(basket);
+  explicit GatewayFixture(size_t shards = 1, size_t basket_capacity = 0,
+                          size_t max_batch_rows = 1024)
+      : clock(SystemClock::Get()) {
+    for (size_t k = 0; k < shards; ++k) {
+      auto b = std::make_shared<core::Basket>("in.s" + std::to_string(k),
+                                              StreamSchema());
+      if (basket_capacity > 0) b->SetCapacity(basket_capacity);
+      auto r = std::make_shared<core::Receptor>("r.s" + std::to_string(k));
+      r->AddOutput(b);
+      baskets.push_back(std::move(b));
+      receptors.push_back(std::move(r));
+    }
+    ShardedIngressOptions opts;
+    opts.max_batch_rows = max_batch_rows;
+    ingress = std::make_unique<ShardedIngress>(receptors, Codec(StreamSchema()),
+                                               clock, opts);
   }
 
   bool WaitFinished(int timeout_ms = 5000) {
-    for (int i = 0; i < timeout_ms && !ingress.finished(); ++i) {
+    for (int i = 0; i < timeout_ms && !ingress->finished(); ++i) {
       clock->SleepFor(1000);
     }
-    return ingress.finished();
+    return ingress->finished();
+  }
+
+  uint64_t TotalBasketRows() const {
+    uint64_t total = 0;
+    for (const auto& b : baskets) total += b->size();
+    return total;
   }
 
   SystemClock* clock;
-  core::BasketPtr basket;
-  core::ReceptorPtr receptor;
-  TcpIngress ingress;
+  std::vector<core::BasketPtr> baskets;
+  std::vector<core::ReceptorPtr> receptors;
+  std::unique_ptr<ShardedIngress> ingress;
 };
 
 TEST(GatewayTest, MultiClientFanIn) {
   GatewayFixture fx;
-  ASSERT_TRUE(fx.ingress.Start().ok());
+  ASSERT_TRUE(fx.ingress->Start().ok());
 
   constexpr int kClients = 8;
   constexpr uint64_t kPerClient = 200;
@@ -346,34 +364,34 @@ TEST(GatewayTest, MultiClientFanIn) {
       opts.tuples_per_write = 17;
       opts.seed = static_cast<uint64_t>(c) + 1;
       ASSERT_TRUE(
-          Sensor::Run("127.0.0.1", fx.ingress.port(), opts, fx.clock).ok());
+          Sensor::Run("127.0.0.1", fx.ingress->port(), opts, fx.clock).ok());
     });
   }
   for (auto& t : sensors) t.join();
   ASSERT_TRUE(fx.WaitFinished());
 
-  EXPECT_EQ(fx.ingress.connections_accepted(), kClients);
-  EXPECT_EQ(fx.ingress.tuples_received(), kClients * kPerClient);
-  EXPECT_EQ(fx.ingress.tuples_dropped(), 0u);
-  EXPECT_EQ(fx.basket->size(), kClients * kPerClient);
-  fx.ingress.Stop();
+  EXPECT_EQ(fx.ingress->connections_accepted(), kClients);
+  EXPECT_EQ(fx.ingress->tuples_received(), kClients * kPerClient);
+  EXPECT_EQ(fx.ingress->tuples_dropped(), 0u);
+  EXPECT_EQ(fx.baskets[0]->size(), kClients * kPerClient);
+  fx.ingress->Stop();
 }
 
 TEST(GatewayTest, StopWithConnectedIdleClientReturnsQuickly) {
   GatewayFixture fx;
-  ASSERT_TRUE(fx.ingress.Start().ok());
+  ASSERT_TRUE(fx.ingress->Start().ok());
 
   // A sensor that connects and then says nothing — the regression that used
   // to leave Stop() hanging in join() behind a blocked ReadLine.
-  auto idle = TcpStream::Connect("127.0.0.1", fx.ingress.port());
+  auto idle = TcpStream::Connect("127.0.0.1", fx.ingress->port());
   ASSERT_TRUE(idle.ok());
-  for (int i = 0; i < 2000 && fx.ingress.active_connections() == 0; ++i) {
+  for (int i = 0; i < 2000 && fx.ingress->active_connections() == 0; ++i) {
     fx.clock->SleepFor(1000);
   }
-  ASSERT_EQ(fx.ingress.active_connections(), 1u);
+  ASSERT_EQ(fx.ingress->active_connections(), 1u);
 
   const auto t0 = std::chrono::steady_clock::now();
-  fx.ingress.Stop();
+  fx.ingress->Stop();
   const auto elapsed = std::chrono::steady_clock::now() - t0;
   EXPECT_LT(elapsed, std::chrono::seconds(1));
   // The accepted stream was shut down, not leaked: the idle client sees EOF.
@@ -383,8 +401,8 @@ TEST(GatewayTest, StopWithConnectedIdleClientReturnsQuickly) {
 
 TEST(GatewayTest, MalformedBurstCountedNotSilent) {
   GatewayFixture fx;
-  ASSERT_TRUE(fx.ingress.Start().ok());
-  auto conn = TcpStream::Connect("127.0.0.1", fx.ingress.port());
+  ASSERT_TRUE(fx.ingress->Start().ok());
+  auto conn = TcpStream::Connect("127.0.0.1", fx.ingress->port());
   ASSERT_TRUE(conn.ok());
   Codec codec(StreamSchema());
   // One write so the whole burst lands in the drain loop together; valid
@@ -395,20 +413,20 @@ TEST(GatewayTest, MalformedBurstCountedNotSilent) {
                   .ok());
   ASSERT_TRUE(conn->ShutdownWrite().ok());
   ASSERT_TRUE(fx.WaitFinished());
-  EXPECT_EQ(fx.ingress.tuples_received(), 4u);
-  EXPECT_EQ(fx.ingress.tuples_dropped(), 3u);
-  EXPECT_EQ(fx.basket->size(), 4u);
-  fx.ingress.Stop();
+  EXPECT_EQ(fx.ingress->tuples_received(), 4u);
+  EXPECT_EQ(fx.ingress->tuples_dropped(), 3u);
+  EXPECT_EQ(fx.baskets[0]->size(), 4u);
+  fx.ingress->Stop();
 }
 
 TEST(GatewayTest, MidStreamDisconnectKeepsServingOthers) {
   GatewayFixture fx;
-  ASSERT_TRUE(fx.ingress.Start().ok());
+  ASSERT_TRUE(fx.ingress->Start().ok());
   Codec codec(StreamSchema());
 
   // Client 1 dies mid-stream with a hard reset (SO_LINGER 0 => RST).
   {
-    auto doomed = TcpStream::Connect("127.0.0.1", fx.ingress.port());
+    auto doomed = TcpStream::Connect("127.0.0.1", fx.ingress->port());
     ASSERT_TRUE(doomed.ok());
     ASSERT_TRUE(
         doomed->WriteAll(codec.EncodeSchemaHeader() + "\n1|10\n2|2").ok());
@@ -418,7 +436,7 @@ TEST(GatewayTest, MidStreamDisconnectKeepsServingOthers) {
   }
 
   // Client 2 streams normally and must be unaffected.
-  auto ok_client = TcpStream::Connect("127.0.0.1", fx.ingress.port());
+  auto ok_client = TcpStream::Connect("127.0.0.1", fx.ingress->port());
   ASSERT_TRUE(ok_client.ok());
   ASSERT_TRUE(ok_client
                   ->WriteAll(codec.EncodeSchemaHeader() +
@@ -428,22 +446,22 @@ TEST(GatewayTest, MidStreamDisconnectKeepsServingOthers) {
   ASSERT_TRUE(fx.WaitFinished());
   // Whatever the reset connection managed to deliver is kept; client 2's
   // three tuples all arrive.
-  EXPECT_GE(fx.ingress.tuples_received(), 3u);
-  EXPECT_GE(fx.basket->size(), 3u);
-  Table contents = fx.basket->Peek();
+  EXPECT_GE(fx.ingress->tuples_received(), 3u);
+  EXPECT_GE(fx.baskets[0]->size(), 3u);
+  Table contents = fx.baskets[0]->Peek();
   int from_ok_client = 0;
   for (size_t i = 0; i < contents.num_rows(); ++i) {
     const int64_t payload = contents.GetRow(i)[1].int_value();
     if (payload == 70 || payload == 80 || payload == 90) ++from_ok_client;
   }
   EXPECT_EQ(from_ok_client, 3);
-  fx.ingress.Stop();
+  fx.ingress->Stop();
 }
 
 TEST(GatewayTest, TornCompleteLineAtEofDelivered) {
   GatewayFixture fx;
-  ASSERT_TRUE(fx.ingress.Start().ok());
-  auto conn = TcpStream::Connect("127.0.0.1", fx.ingress.port());
+  ASSERT_TRUE(fx.ingress->Start().ok());
+  auto conn = TcpStream::Connect("127.0.0.1", fx.ingress->port());
   ASSERT_TRUE(conn.ok());
   Codec codec(StreamSchema());
   // The final line is missing its newline; it is still a whole tuple.
@@ -451,15 +469,15 @@ TEST(GatewayTest, TornCompleteLineAtEofDelivered) {
       conn->WriteAll(codec.EncodeSchemaHeader() + "\n5|50\n7|7").ok());
   ASSERT_TRUE(conn->ShutdownWrite().ok());
   ASSERT_TRUE(fx.WaitFinished());
-  EXPECT_EQ(fx.ingress.tuples_received(), 2u);
-  EXPECT_EQ(fx.ingress.tuples_dropped(), 0u);
-  fx.ingress.Stop();
+  EXPECT_EQ(fx.ingress->tuples_received(), 2u);
+  EXPECT_EQ(fx.ingress->tuples_dropped(), 0u);
+  fx.ingress->Stop();
 }
 
 TEST(GatewayTest, TornPartialLineAtEofCountedDropped) {
   GatewayFixture fx;
-  ASSERT_TRUE(fx.ingress.Start().ok());
-  auto conn = TcpStream::Connect("127.0.0.1", fx.ingress.port());
+  ASSERT_TRUE(fx.ingress->Start().ok());
+  auto conn = TcpStream::Connect("127.0.0.1", fx.ingress->port());
   ASSERT_TRUE(conn.ok());
   Codec codec(StreamSchema());
   // The connection tears in the middle of the second tuple's payload.
@@ -467,18 +485,19 @@ TEST(GatewayTest, TornPartialLineAtEofCountedDropped) {
       conn->WriteAll(codec.EncodeSchemaHeader() + "\n5|50\n8|").ok());
   ASSERT_TRUE(conn->ShutdownWrite().ok());
   ASSERT_TRUE(fx.WaitFinished());
-  EXPECT_EQ(fx.ingress.tuples_received(), 1u);
-  EXPECT_EQ(fx.ingress.tuples_dropped(), 1u);
-  fx.ingress.Stop();
+  EXPECT_EQ(fx.ingress->tuples_received(), 1u);
+  EXPECT_EQ(fx.ingress->tuples_dropped(), 1u);
+  fx.ingress->Stop();
 }
 
 TEST(GatewayTest, BackpressureEngagesAndReleasesWithoutLoss) {
-  GatewayFixture fx(/*max_batch_rows=*/4);
-  fx.basket->SetCapacity(/*high_watermark=*/8, /*low_watermark=*/4);
-  ASSERT_TRUE(fx.ingress.Start().ok());
+  GatewayFixture fx(/*shards=*/1, /*basket_capacity=*/0,
+                    /*max_batch_rows=*/4);
+  fx.baskets[0]->SetCapacity(/*high_watermark=*/8, /*low_watermark=*/4);
+  ASSERT_TRUE(fx.ingress->Start().ok());
 
   constexpr uint64_t kTuples = 50;
-  auto conn = TcpStream::Connect("127.0.0.1", fx.ingress.port());
+  auto conn = TcpStream::Connect("127.0.0.1", fx.ingress->port());
   ASSERT_TRUE(conn.ok());
   Codec codec(StreamSchema());
   std::string payload = codec.EncodeSchemaHeader() + "\n";
@@ -490,54 +509,102 @@ TEST(GatewayTest, BackpressureEngagesAndReleasesWithoutLoss) {
 
   // With no consumer the valve must close at the high watermark: the
   // basket holds at most 8 rows and the gateway stops reading.
-  for (int i = 0; i < 5000 && !fx.ingress.backpressured(); ++i) {
+  for (int i = 0; i < 5000 && !fx.ingress->backpressured(); ++i) {
     fx.clock->SleepFor(1000);
   }
-  EXPECT_TRUE(fx.ingress.backpressured());
-  EXPECT_LE(fx.basket->size(), 8u);
-  EXPECT_LT(fx.ingress.tuples_received(), kTuples);
+  EXPECT_TRUE(fx.ingress->backpressured());
+  EXPECT_LE(fx.baskets[0]->size(), 8u);
+  EXPECT_LT(fx.ingress->tuples_received(), kTuples);
 
   // Draining past the low watermark releases it; every tuple eventually
   // arrives and none were dropped anywhere (push-back, not drop).
   uint64_t taken = 0;
-  for (int i = 0; i < 5000 && !fx.ingress.finished(); ++i) {
-    taken += fx.basket->TakeAll().num_rows();
+  for (int i = 0; i < 5000 && !fx.ingress->finished(); ++i) {
+    taken += fx.baskets[0]->TakeAll().num_rows();
     fx.clock->SleepFor(1000);
   }
-  ASSERT_TRUE(fx.ingress.finished());
-  taken += fx.basket->TakeAll().num_rows();
+  ASSERT_TRUE(fx.ingress->finished());
+  taken += fx.baskets[0]->TakeAll().num_rows();
 
   EXPECT_EQ(taken, kTuples);
-  EXPECT_EQ(fx.ingress.tuples_received(), kTuples);
-  EXPECT_EQ(fx.ingress.tuples_dropped(), 0u);
-  EXPECT_EQ(fx.basket->stats().dropped, 0u);
-  EXPECT_LE(fx.basket->stats().peak_rows, 8u);
-  EXPECT_GE(fx.ingress.backpressure_engagements(), 1u);
-  EXPECT_FALSE(fx.ingress.backpressured());
-  fx.ingress.Stop();
+  EXPECT_EQ(fx.ingress->tuples_received(), kTuples);
+  EXPECT_EQ(fx.ingress->tuples_dropped(), 0u);
+  EXPECT_EQ(fx.baskets[0]->stats().dropped, 0u);
+  EXPECT_LE(fx.baskets[0]->stats().peak_rows, 8u);
+  EXPECT_GE(fx.ingress->backpressure_engagements(), 1u);
+  EXPECT_FALSE(fx.ingress->backpressured());
+  fx.ingress->Stop();
 }
 
 TEST(GatewayTest, HandshakeFailureDropsOnlyThatConnection) {
   GatewayFixture fx;
-  ASSERT_TRUE(fx.ingress.Start().ok());
+  ASSERT_TRUE(fx.ingress->Start().ok());
   Codec codec(StreamSchema());
 
-  auto bad = TcpStream::Connect("127.0.0.1", fx.ingress.port());
+  auto bad = TcpStream::Connect("127.0.0.1", fx.ingress->port());
   ASSERT_TRUE(bad.ok());
   ASSERT_TRUE(bad->WriteAll("wrong:int|schema:string\n1|x\n").ok());
   ASSERT_TRUE(bad->ShutdownWrite().ok());
 
-  auto good = TcpStream::Connect("127.0.0.1", fx.ingress.port());
+  auto good = TcpStream::Connect("127.0.0.1", fx.ingress->port());
   ASSERT_TRUE(good.ok());
   ASSERT_TRUE(
       good->WriteAll(codec.EncodeSchemaHeader() + "\n1|10\n2|20\n").ok());
   ASSERT_TRUE(good->ShutdownWrite().ok());
 
   ASSERT_TRUE(fx.WaitFinished());
-  EXPECT_EQ(fx.ingress.connections_accepted(), 2u);
-  EXPECT_EQ(fx.ingress.tuples_received(), 2u);
-  EXPECT_EQ(fx.basket->size(), 2u);
-  fx.ingress.Stop();
+  EXPECT_EQ(fx.ingress->connections_accepted(), 2u);
+  EXPECT_EQ(fx.ingress->tuples_received(), 2u);
+  EXPECT_EQ(fx.baskets[0]->size(), 2u);
+  fx.ingress->Stop();
+}
+
+// Regression for finished() on an idle gateway: probes (STATS, SEQ) and
+// header-less connect-and-close are not sensor sessions, and the window
+// between the acceptor counting a connection and the shard taking it must
+// not read as "every connection closed". A server polling finished()
+// would otherwise shut down on the first monitoring probe. One thread
+// spins on finished() for the whole probe storm; it must never read true.
+TEST(GatewayTest, ProbesNeverReadAsFinishedSession) {
+  for (size_t shards : {size_t{1}, size_t{4}}) {
+    GatewayFixture fx(shards);
+    ASSERT_TRUE(fx.ingress->Start().ok());
+
+    std::atomic<bool> done{false};
+    std::atomic<bool> saw_finished{false};
+    std::thread spinner([&] {
+      while (!done.load()) {
+        if (fx.ingress->finished()) saw_finished.store(true);
+      }
+    });
+    for (int i = 0; i < 300; ++i) {
+      auto conn = TcpStream::Connect("127.0.0.1", fx.ingress->port());
+      ASSERT_TRUE(conn.ok());
+      if (i % 3 == 2) continue;  // header-less: connect, then close
+      ASSERT_TRUE(conn->WriteAll(i % 3 == 0 ? "STATS\n" : "SEQ\n").ok());
+      EXPECT_TRUE(conn->ReadLine().ok());
+    }
+    for (int i = 0; i < 5000 && (fx.ingress->connections_accepted() < 300 ||
+                                 fx.ingress->active_connections() > 0);
+         ++i) {
+      fx.clock->SleepFor(1000);
+    }
+    EXPECT_EQ(fx.ingress->connections_accepted(), 300u);
+    EXPECT_EQ(fx.ingress->active_connections(), 0u);
+    done.store(true);
+    spinner.join();
+    EXPECT_FALSE(saw_finished.load()) << shards << " shard(s)";
+    EXPECT_FALSE(fx.ingress->finished());
+
+    // One real sensor session, and the gateway does read as finished.
+    Sensor::Options opts;
+    opts.num_tuples = 10;
+    ASSERT_TRUE(
+        Sensor::Run("127.0.0.1", fx.ingress->port(), opts, fx.clock).ok());
+    EXPECT_TRUE(fx.WaitFinished());
+    EXPECT_EQ(fx.ingress->tuples_received(), 10u);
+    fx.ingress->Stop();
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -623,46 +690,8 @@ TEST(SocketTest, WriteAllRidesOutFullSendBuffer) {
 // Sharded gateway: fan-in, fault injection, per-shard flow control
 // ---------------------------------------------------------------------------
 
-struct ShardedFixture {
-  explicit ShardedFixture(size_t shards, size_t basket_capacity = 0,
-                          size_t max_batch_rows = 1024)
-      : clock(SystemClock::Get()) {
-    for (size_t k = 0; k < shards; ++k) {
-      auto b = std::make_shared<core::Basket>("in.s" + std::to_string(k),
-                                              StreamSchema());
-      if (basket_capacity > 0) b->SetCapacity(basket_capacity);
-      auto r = std::make_shared<core::Receptor>("r.s" + std::to_string(k));
-      r->AddOutput(b);
-      baskets.push_back(std::move(b));
-      receptors.push_back(std::move(r));
-    }
-    ShardedIngressOptions opts;
-    opts.max_batch_rows = max_batch_rows;
-    ingress = std::make_unique<ShardedIngress>(receptors, Codec(StreamSchema()),
-                                               clock, opts);
-  }
-
-  bool WaitFinished(int timeout_ms = 5000) {
-    for (int i = 0; i < timeout_ms && !ingress->finished(); ++i) {
-      clock->SleepFor(1000);
-    }
-    return ingress->finished();
-  }
-
-  uint64_t TotalBasketRows() const {
-    uint64_t total = 0;
-    for (const auto& b : baskets) total += b->size();
-    return total;
-  }
-
-  SystemClock* clock;
-  std::vector<core::BasketPtr> baskets;
-  std::vector<core::ReceptorPtr> receptors;
-  std::unique_ptr<ShardedIngress> ingress;
-};
-
 TEST(ShardedGatewayTest, FanInAcrossShardsLossless) {
-  ShardedFixture fx(/*shards=*/4);
+  GatewayFixture fx(/*shards=*/4);
   ASSERT_TRUE(fx.ingress->Start().ok());
 
   constexpr int kClients = 12;
@@ -701,7 +730,7 @@ TEST(ShardedGatewayTest, FanInAcrossShardsLossless) {
 }
 
 TEST(ShardedGatewayTest, MidStreamResetLeavesSiblingShardsLossless) {
-  ShardedFixture fx(/*shards=*/4);
+  GatewayFixture fx(/*shards=*/4);
   ASSERT_TRUE(fx.ingress->Start().ok());
   Codec codec(StreamSchema());
 
@@ -743,7 +772,7 @@ TEST(ShardedGatewayTest, MidStreamResetLeavesSiblingShardsLossless) {
 
 // Finds which shard a just-routed connection landed on by diffing the
 // per-shard lifetime connection counts around the connect.
-int ShardOf(ShardedFixture& fx, const std::vector<uint64_t>& before) {
+int ShardOf(GatewayFixture& fx, const std::vector<uint64_t>& before) {
   for (int waited = 0; waited < 5000; ++waited) {
     for (size_t k = 0; k < fx.ingress->num_shards(); ++k) {
       if (fx.ingress->shard_stats(k).connections > before[k]) {
@@ -755,7 +784,7 @@ int ShardOf(ShardedFixture& fx, const std::vector<uint64_t>& before) {
   return -1;
 }
 
-std::vector<uint64_t> ShardConnSnapshot(ShardedFixture& fx) {
+std::vector<uint64_t> ShardConnSnapshot(GatewayFixture& fx) {
   std::vector<uint64_t> v;
   for (size_t k = 0; k < fx.ingress->num_shards(); ++k) {
     v.push_back(fx.ingress->shard_stats(k).connections);
@@ -766,7 +795,7 @@ std::vector<uint64_t> ShardConnSnapshot(ShardedFixture& fx) {
 TEST(ShardedGatewayTest, BackpressureIsPerShardIndependent) {
   // Tiny per-shard baskets and batches so one client can wedge its shard's
   // credit valve while the sibling shard keeps streaming.
-  ShardedFixture fx(/*shards=*/2, /*basket_capacity=*/8,
+  GatewayFixture fx(/*shards=*/2, /*basket_capacity=*/8,
                     /*max_batch_rows=*/4);
   ASSERT_TRUE(fx.ingress->Start().ok());
   Codec codec(StreamSchema());
@@ -860,7 +889,7 @@ TEST(ShardedGatewayTest, SeqResumeConsistentAcrossShardRehash) {
   auto log = storage::IngestLog::Open(log_path, storage::FsyncPolicy::kNone);
   ASSERT_TRUE(log.ok());
 
-  ShardedFixture fx(/*shards=*/2);
+  GatewayFixture fx(/*shards=*/2);
   fx.ingress->EnableIngestLog(log->get());
   ASSERT_TRUE(fx.ingress->Start().ok());
 
@@ -889,7 +918,7 @@ TEST(ShardedGatewayTest, SeqResumeConsistentAcrossShardRehash) {
 // short-write regression on the reply path (WriteAllRidesOutFullSendBuffer
 // covers the underlying EAGAIN fix).
 TEST(ShardedGatewayTest, StatsScrapeCompleteThroughTinyReceiveWindow) {
-  ShardedFixture fx(/*shards=*/8);
+  GatewayFixture fx(/*shards=*/8);
   ASSERT_TRUE(fx.ingress->Start().ok());
 
   auto conn = TcpStream::Connect("127.0.0.1", fx.ingress->port());
@@ -907,14 +936,16 @@ TEST(ShardedGatewayTest, StatsScrapeCompleteThroughTinyReceiveWindow) {
   }
   EXPECT_EQ(reply.rfind("STATS ", 0), 0u) << reply;
   EXPECT_NE(reply.find(" shards=8 "), std::string::npos) << reply;
-  // The last per-shard field made it through: nothing was truncated.
   EXPECT_NE(reply.find(" shard.7.backpressured="), std::string::npos) << reply;
+  // The last basket field made it through: nothing was truncated.
+  EXPECT_NE(reply.find(" basket.in.s7.credit_stalls=0\n"), std::string::npos)
+      << reply;
   EXPECT_EQ(reply.back(), '\n');
   fx.ingress->Stop();
 }
 
 TEST(ShardedGatewayTest, StopWithIdleClientsReturnsQuickly) {
-  ShardedFixture fx(/*shards=*/4);
+  GatewayFixture fx(/*shards=*/4);
   ASSERT_TRUE(fx.ingress->Start().ok());
 
   std::vector<TcpStream> idlers;

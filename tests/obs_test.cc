@@ -17,7 +17,7 @@
 #include "core/metronome.h"
 #include "core/receptor.h"
 #include "core/scheduler.h"
-#include "net/gateway.h"
+#include "net/shard.h"
 #include "net/socket.h"
 #include "obs/metrics.h"
 #include "obs/tables.h"
@@ -406,7 +406,7 @@ TEST(GatewayStatsTest, StatsCommandAnswersOneLineAndCloses) {
   auto basket = std::make_shared<core::Basket>("stats_in", IntSchema());
   auto receptor = std::make_shared<core::Receptor>("stats_r");
   receptor->AddOutput(basket);
-  net::TcpIngress ingress(receptor, net::Codec(IntSchema()), clock);
+  net::ShardedIngress ingress({receptor}, net::Codec(IntSchema()), clock);
   ASSERT_TRUE(ingress.Start().ok());
 
   auto conn = net::TcpStream::Connect("127.0.0.1", ingress.port());

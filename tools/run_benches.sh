@@ -89,7 +89,7 @@ fi
 # backpressure-at-scale acceptance fields (DESIGN.md §15).
 if [ -e BENCH_gateway_sharded.json ]; then
   for field in '"shards"' '"sensors"' '"tps_per_shard"' '"scaling_ratio"' \
-               '"poll_tuples_per_cpu_s"' '"sharded_tuples_per_cpu_s"' \
+               '"one_shard_tuples_per_cpu_s"' '"sharded_tuples_per_cpu_s"' \
                '"scaling_lossless"' '"bp_lossless"' \
                '"bp_backpressure_engagements"'; do
     if ! grep -q "$field" BENCH_gateway_sharded.json; then
