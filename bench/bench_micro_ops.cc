@@ -5,10 +5,15 @@
 
 #include <benchmark/benchmark.h>
 
+#include <optional>
+#include <string>
+#include <string_view>
+
 #include "core/basket.h"
 #include "core/basket_expression.h"
 #include "expr/eval.h"
 #include "net/codec.h"
+#include "net/framing.h"
 #include "ops/aggregate.h"
 #include "ops/join.h"
 #include "ops/select.h"
@@ -241,6 +246,90 @@ void BM_CodecEncodeDecode(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_CodecEncodeDecode)->Arg(1'000)->Arg(10'000);
+
+// Rows per decoded batch: the wire generator's burst size, which is what
+// the gateway sees per read at 250k tuples/s.
+constexpr size_t kGatewayBatchRows = 50;
+
+// The gateway's decode shape (ShardedIngress DrainBuffered): the received
+// bytes sit in one framer buffer, lines come out as views, and each
+// 50-line batch is decoded into typed lanes and flushed into a fresh
+// batch table. Returns the rows decoded.
+size_t DecodeLikeTheGateway(const net::Codec& codec,
+                            net::BatchDecoder* decoder,
+                            const std::string& payload) {
+  net::LineFramer framer;
+  framer.Append(payload);
+  size_t rows = 0;
+  while (true) {
+    while (decoder->rows() < kGatewayBatchRows) {
+      std::optional<std::string_view> line = framer.NextView();
+      if (!line.has_value()) break;
+      Status st = decoder->Add(*line);
+      benchmark::DoNotOptimize(st);
+    }
+    if (decoder->rows() == 0) break;
+    Table batch(codec.schema());
+    Status st = decoder->Flush(&batch);
+    benchmark::DoNotOptimize(st);
+    rows += batch.num_rows();
+    benchmark::DoNotOptimize(batch);
+  }
+  return rows;
+}
+
+void BM_CodecDecodeGatewayShape(benchmark::State& state) {
+  const size_t n = static_cast<size_t>(state.range(0));
+  net::Codec codec(StreamSchema());
+  const std::string payload = *codec.EncodeTable(MakeTuples(n));
+  net::BatchDecoder decoder(&codec);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(DecodeLikeTheGateway(codec, &decoder, payload));
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_CodecDecodeGatewayShape)->Arg(10'000);
+
+// A schema with every value kind the text protocol escapes or spells
+// specially: strings with '|', '\' and newlines, doubles, bools, NULLs.
+Table MakeMixedTuples(size_t n) {
+  Random rng(11);
+  Table t(Schema({{"id", DataType::kInt64},
+                  {"x", DataType::kDouble},
+                  {"ok", DataType::kBool},
+                  {"name", DataType::kString}}));
+  const char* const names[] = {"sensor-17", "a|b", "back\\slash",
+                               "two\nlines", "NULL", "plain text"};
+  for (size_t i = 0; i < n; ++i) {
+    t.column(0).AppendInt(static_cast<int64_t>(rng.Next() >> 20));
+    if (rng.Bernoulli(0.1)) {
+      t.column(1).AppendNull();
+    } else {
+      t.column(1).AppendDouble(rng.NextDouble() * 1e4 - 5e3);
+    }
+    t.column(2).AppendBool(rng.Bernoulli(0.5));
+    if (rng.Bernoulli(0.1)) {
+      t.column(3).AppendNull();
+    } else {
+      t.column(3).AppendString(names[rng.Uniform(std::size(names))]);
+    }
+  }
+  return t;
+}
+
+void BM_CodecMixedEncodeDecode(benchmark::State& state) {
+  const size_t n = static_cast<size_t>(state.range(0));
+  const Table mixed = MakeMixedTuples(n);
+  net::Codec codec(mixed.schema());
+  net::BatchDecoder decoder(&codec);
+  for (auto _ : state) {
+    auto text = codec.EncodeTable(mixed);
+    benchmark::DoNotOptimize(text);
+    benchmark::DoNotOptimize(DecodeLikeTheGateway(codec, &decoder, *text));
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_CodecMixedEncodeDecode)->Arg(10'000);
 
 }  // namespace
 }  // namespace datacell

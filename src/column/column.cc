@@ -1,5 +1,7 @@
 #include "column/column.h"
 
+#include <iterator>
+
 #include "util/logging.h"
 #include "util/simd.h"
 
@@ -151,6 +153,40 @@ void Column::AppendNull() {
   EnsureValidity();
   std::visit([](auto& b) { b->emplace_back(); }, data_);
   valid_->push_back(0);
+}
+
+template <typename T, typename It>
+void Column::AppendBulk(It first, size_t n, const uint8_t* valid) {
+  if (n == 0) return;
+  Detach(false);
+  if (valid != nullptr) EnsureValidity();  // before the rows grow
+  std::vector<T>& buf = *std::get<BufPtr<T>>(data_);
+  buf.insert(buf.end(), first, first + static_cast<std::ptrdiff_t>(n));
+  if (valid != nullptr) {
+    valid_->insert(valid_->end(), valid, valid + n);
+  } else if (valid_ != nullptr) {
+    valid_->insert(valid_->end(), n, 1);
+  }
+}
+
+void Column::AppendInts(const int64_t* v, size_t n, const uint8_t* valid) {
+  DC_DCHECK(PhysicalIsInt(type_));
+  AppendBulk<int64_t>(v, n, valid);
+}
+
+void Column::AppendDoubles(const double* v, size_t n, const uint8_t* valid) {
+  DC_DCHECK(type_ == DataType::kDouble);
+  AppendBulk<double>(v, n, valid);
+}
+
+void Column::AppendBools(const uint8_t* v, size_t n, const uint8_t* valid) {
+  DC_DCHECK(type_ == DataType::kBool);
+  AppendBulk<uint8_t>(v, n, valid);
+}
+
+void Column::AppendStrings(std::string* v, size_t n, const uint8_t* valid) {
+  DC_DCHECK(type_ == DataType::kString);
+  AppendBulk<std::string>(std::make_move_iterator(v), n, valid);
 }
 
 void Column::SetNull(size_t i) {

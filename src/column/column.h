@@ -125,6 +125,16 @@ class Column {
   void AppendString(std::string v);
   void AppendNull();
 
+  /// Bulk typed appends of `n` values (batch decoders): one ownership
+  /// check and one growth per call instead of per value. `valid` holds n
+  /// validity bytes (1 = non-null), or is nullptr when all are non-null;
+  /// a null slot's value should be the AppendNull placeholder. The
+  /// strings are moved from.
+  void AppendInts(const int64_t* v, size_t n, const uint8_t* valid);
+  void AppendDoubles(const double* v, size_t n, const uint8_t* valid);
+  void AppendBools(const uint8_t* v, size_t n, const uint8_t* valid);
+  void AppendStrings(std::string* v, size_t n, const uint8_t* valid);
+
   /// Marks row i NULL. Its value slot keeps what it holds, so writers
   /// that fill the typed vector directly store the AppendNull placeholder
   /// (zero/empty) there first.
@@ -214,6 +224,10 @@ class Column {
   static void EraseRowsIn(Vec& v, const SelVector& sorted_sel);
   template <typename Vec>
   static void KeepRowsIn(Vec& v, const SelVector& sorted_sel);
+
+  // Shared body of the bulk appends; It yields the values to append.
+  template <typename T, typename It>
+  void AppendBulk(It first, size_t n, const uint8_t* valid);
 
   // Lazily materializes the validity vector (all rows currently valid).
   // Caller must have detached already.

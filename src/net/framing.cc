@@ -6,40 +6,54 @@
 
 namespace datacell::net {
 
+void LineFramer::Compact() {
+  if (head_ == 0) return;
+  if (head_ == buffer_.size()) {
+    buffer_.clear();
+    head_ = 0;
+  } else if (head_ >= 4096 && head_ * 2 >= buffer_.size()) {
+    buffer_.erase(0, head_);
+    head_ = 0;
+  }
+}
+
 void LineFramer::Append(std::string_view data) {
+  Compact();
   buffer_.append(data.data(), data.size());
 }
 
-std::optional<std::string> LineFramer::NextLine() {
+std::optional<std::string_view> LineFramer::NextView() {
+  Compact();
   const size_t pos = buffer_.find('\n', head_);
   if (pos == std::string::npos) {
-    // No complete line: compact now so a half-received tuple after a large
-    // drained burst does not pin the whole burst buffer.
+    // No complete line, so no view is handed out: compact fully now so a
+    // half-received tuple after a large drained burst does not pin the
+    // whole burst buffer.
     if (head_ > 0) {
       buffer_.erase(0, head_);
       head_ = 0;
     }
     return std::nullopt;
   }
-  std::string line = buffer_.substr(head_, pos - head_);
+  const std::string_view line(buffer_.data() + head_, pos - head_);
   head_ = pos + 1;
-  // Amortized compaction: drop the consumed prefix once it is both big and
-  // the majority of the buffer.
-  if (head_ >= 4096 && head_ * 2 >= buffer_.size()) {
-    buffer_.erase(0, head_);
-    head_ = 0;
-  }
   return line;
 }
 
-std::string LineFramer::TakeRemainder() {
-  std::string out = buffer_.substr(head_);
-  buffer_.clear();
-  head_ = 0;
-  return out;
+std::optional<std::string> LineFramer::NextLine() {
+  std::optional<std::string_view> line = NextView();
+  if (!line.has_value()) return std::nullopt;
+  return std::string(*line);
 }
 
-Result<Hello> ParseHello(const std::string& line) {
+std::string_view LineFramer::TakeRemainder() {
+  Compact();
+  const std::string_view rest(buffer_.data() + head_, buffer_.size() - head_);
+  head_ = buffer_.size();
+  return rest;
+}
+
+Result<Hello> ParseHello(std::string_view line) {
   Hello hello;
   if (line == "STATS") {
     hello.kind = HelloKind::kStats;

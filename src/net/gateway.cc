@@ -1,7 +1,5 @@
 #include "net/gateway.h"
 
-#include "net/codec.h"
-
 namespace datacell::net {
 
 Result<std::unique_ptr<TcpEgress>> TcpEgress::Connect(const std::string& host,
@@ -12,13 +10,12 @@ Result<std::unique_ptr<TcpEgress>> TcpEgress::Connect(const std::string& host,
 
 core::Emitter::Sink TcpEgress::MakeSink() {
   return [this](const Table& batch) -> Status {
-    if (!header_sent_) {
+    if (!codec_.has_value()) {
       Codec codec(batch.schema());
       RETURN_NOT_OK(stream_.WriteAll(codec.EncodeSchemaHeader() + "\n"));
-      header_sent_ = true;
+      codec_.emplace(std::move(codec));
     }
-    Codec codec(batch.schema());
-    ASSIGN_OR_RETURN(std::string payload, codec.EncodeTable(batch));
+    ASSIGN_OR_RETURN(std::string payload, codec_->EncodeTable(batch));
     return stream_.WriteAll(payload);
   };
 }

@@ -2,10 +2,12 @@
 #define DATACELL_NET_GATEWAY_H_
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 
 #include "core/receptor.h"
+#include "net/codec.h"
 #include "net/socket.h"
 #include "util/status.h"
 
@@ -30,7 +32,7 @@ class TcpEgress {
   explicit TcpEgress(TcpStream stream) : stream_(std::move(stream)) {}
 
   TcpStream stream_;
-  bool header_sent_ = false;
+  std::optional<Codec> codec_;  // built, and the header sent, on the first batch
 };
 
 }  // namespace datacell::net

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <optional>
+#include <string_view>
 #include <unordered_map>
 
 #include "net/framing.h"
@@ -33,7 +34,10 @@ constexpr int kMaxEvents = 256;
 class ShardedIngress::Shard {
  public:
   Shard(ShardedIngress* parent, size_t index, core::ReceptorPtr receptor)
-      : parent_(parent), index_(index), receptor_(std::move(receptor)) {}
+      : parent_(parent),
+        index_(index),
+        receptor_(std::move(receptor)),
+        decoder_(&parent->codec_) {}
 
   ~Shard() { Shutdown(); }
 
@@ -225,7 +229,7 @@ class ShardedIngress::Shard {
   Drain DrainBuffered(Conn* conn) {
     while (true) {
       if (!conn->handshaken) {
-        std::optional<std::string> line = NextLine(conn);
+        std::optional<std::string_view> line = NextLine(conn);
         if (!line.has_value()) {
           if (conn->eof) {
             DC_LOG(Warn) << "shard: connection closed before schema header";
@@ -243,13 +247,26 @@ class ShardedIngress::Shard {
         credit = receptor_->CreditRemaining();
       }
       const size_t allowed = std::min(parent_->opts_.max_batch_rows, credit);
-      Table batch(parent_->codec_.schema());
-      while (batch.num_rows() < allowed) {
-        std::optional<std::string> line = NextLine(conn);
+      uint64_t dropped = 0;
+      while (decoder_.rows() < allowed) {
+        // Each view is parsed before the next NextLine may move the buffer.
+        std::optional<std::string_view> line = NextLine(conn);
         if (!line.has_value()) break;
-        DecodeCount(*line, &batch);
+        if (Status st = decoder_.Add(*line); !st.ok()) {
+          // Structural validation failure: the tuple acts as if never sent
+          // (the baskets' silent-filter semantics start at the adapter
+          // boundary), but the operator can see it happened.
+          ++dropped;
+          DC_LOG(Debug) << "shard dropping malformed tuple: " << st.ToString();
+        }
       }
-      if (batch.num_rows() == 0) return Drain::kIdle;
+      CountBatch(decoder_.rows(), dropped);
+      if (decoder_.rows() == 0) return Drain::kIdle;
+      Table batch(parent_->codec_.schema());
+      if (Status st = decoder_.Flush(&batch); !st.ok()) {
+        DC_LOG(Error) << "shard decode flush failed: " << st.ToString();
+        return Drain::kClose;
+      }
       if (parent_->ingest_log_ != nullptr) {
         // Write-ahead under this shard's stream: the batch must be in the
         // log before the engine can observe it, or a crash between the two
@@ -274,20 +291,21 @@ class ShardedIngress::Shard {
     }
   }
 
-  std::optional<std::string> NextLine(Conn* conn) {
-    if (std::optional<std::string> line = conn->stream.PopBufferedLine()) {
+  std::optional<std::string_view> NextLine(Conn* conn) {
+    if (std::optional<std::string_view> line =
+            conn->stream.PopBufferedLine()) {
       return line;
     }
     if (conn->eof) {
       // Torn partial line at EOF: decode what arrived; the codec decides
       // whether it happens to be a whole tuple or counts as dropped.
-      std::string tail = conn->stream.TakeBufferedRemainder();
+      const std::string_view tail = conn->stream.TakeBufferedRemainder();
       if (!tail.empty()) return tail;
     }
     return std::nullopt;
   }
 
-  bool Handshake(Conn* conn, const std::string& line) {
+  bool Handshake(Conn* conn, std::string_view line) {
     Result<Hello> hello = ParseHello(line);
     if (!hello.ok()) {
       DC_LOG(Warn) << "shard: bad handshake line '" << line
@@ -325,18 +343,16 @@ class ShardedIngress::Shard {
     return true;
   }
 
-  void DecodeCount(const std::string& line, Table* batch) {
-    Status st = parent_->codec_.DecodeInto(line, batch);
-    if (st.ok()) {
-      tuples_.fetch_add(1);
-      parent_->m_tuples_->Increment();
-    } else {
-      // Structural validation failure: the tuple acts as if never sent
-      // (the baskets' silent-filter semantics start at the adapter
-      // boundary), but the operator can see it happened.
-      dropped_.fetch_add(1);
-      parent_->m_dropped_->Increment();
-      DC_LOG(Debug) << "shard dropping malformed tuple: " << st.ToString();
+  /// Counts one batch's accepted and dropped lines: one update per batch,
+  /// not per tuple.
+  void CountBatch(uint64_t accepted, uint64_t dropped) {
+    if (accepted > 0) {
+      tuples_.fetch_add(accepted);
+      parent_->m_tuples_->Increment(accepted);
+    }
+    if (dropped > 0) {
+      dropped_.fetch_add(dropped);
+      parent_->m_dropped_->Increment(dropped);
     }
   }
 
@@ -403,8 +419,9 @@ class ShardedIngress::Shard {
   Mutex mu_{LockRank::kActuator};
   std::vector<TcpStream> inbox_ DC_GUARDED_BY(mu_);
 
-  // Connection table: reactor thread only.
+  // Connection table and batch decoder: reactor thread only.
   std::unordered_map<int, std::unique_ptr<Conn>> conns_ DC_UNGUARDED;
+  BatchDecoder decoder_ DC_UNGUARDED;
 
   std::atomic<bool> paused_{false};
   // Lifetime counts; active() is their difference.

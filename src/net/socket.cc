@@ -118,33 +118,8 @@ Result<std::string> TcpStream::ReadLine() {
       return Errno("recv");
     }
     if (n == 0) {
-      std::string tail = framer_.TakeRemainder();
-      if (!tail.empty()) return tail;
-      return Status::NotFound("eof");
-    }
-    framer_.Append({chunk, static_cast<size_t>(n)});
-  }
-}
-
-Result<std::optional<std::string>> TcpStream::TryReadLine() {
-  while (true) {
-    if (std::optional<std::string> line = framer_.NextLine()) {
-      return std::optional<std::string>(std::move(*line));
-    }
-    char chunk[4096];
-    ssize_t n = ::recv(fd_, chunk, sizeof(chunk), MSG_DONTWAIT);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) {
-        return std::optional<std::string>();
-      }
-      return Errno("recv");
-    }
-    if (n == 0) {
-      std::string tail = framer_.TakeRemainder();
-      if (!tail.empty()) {
-        return std::optional<std::string>(std::move(tail));
-      }
+      const std::string_view tail = framer_.TakeRemainder();
+      if (!tail.empty()) return std::string(tail);
       return Status::NotFound("eof");
     }
     framer_.Append({chunk, static_cast<size_t>(n)});
@@ -175,11 +150,11 @@ Result<size_t> TcpStream::FillFromSocket() {
   }
 }
 
-std::optional<std::string> TcpStream::PopBufferedLine() {
-  return framer_.NextLine();
+std::optional<std::string_view> TcpStream::PopBufferedLine() {
+  return framer_.NextView();
 }
 
-std::string TcpStream::TakeBufferedRemainder() {
+std::string_view TcpStream::TakeBufferedRemainder() {
   return framer_.TakeRemainder();
 }
 

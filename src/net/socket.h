@@ -5,6 +5,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 
 #include "net/framing.h"
 #include "util/status.h"
@@ -40,11 +41,6 @@ class TcpStream {
   /// with no pending data; IOError otherwise.
   Result<std::string> ReadLine();
 
-  /// Returns an already-buffered/immediately-available line, or nullopt if
-  /// reading would block. Never blocks; NotFound on clean EOF. Used to
-  /// drain bursts into one batch after a blocking ReadLine.
-  Result<std::optional<std::string>> TryReadLine();
-
   /// --- Reactor-mode primitives (gateway event loop) -----------------------
   /// Raw descriptor for poll(); -1 when invalid.
   int fd() const { return fd_; }
@@ -59,12 +55,14 @@ class TcpStream {
   Result<size_t> FillFromSocket();
 
   /// Extracts the next complete ('\n'-terminated) line from the read-ahead
-  /// buffer without touching the socket; nullopt when none is buffered.
-  std::optional<std::string> PopBufferedLine();
+  /// buffer without touching the socket; nullopt when none is buffered. The
+  /// view lives until the next call that reads or fills the buffer.
+  std::optional<std::string_view> PopBufferedLine();
 
   /// Drains whatever trails the last newline — the torn partial line a peer
-  /// leaves behind when it disconnects mid-tuple.
-  std::string TakeBufferedRemainder();
+  /// leaves behind when it disconnects mid-tuple. Same lifetime as
+  /// PopBufferedLine's view.
+  std::string_view TakeBufferedRemainder();
 
   /// Half-closes the write side, signalling EOF to the peer.
   Status ShutdownWrite();

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <charconv>
 #include <cstring>
 #include <fstream>
 
@@ -15,6 +16,9 @@
 namespace datacell::storage {
 
 namespace {
+
+// Digits of the largest uint64_t sequence number.
+constexpr size_t kMaxSeqText = 20;
 
 Status ValidateStreamName(const std::string& stream) {
   if (stream.empty() ||
@@ -241,16 +245,22 @@ Result<std::pair<uint64_t, uint64_t>> IngestLog::AppendBatch(
   RETURN_NOT_OK(RegisterStream(stream, batch.schema()));
   MutexLock lock(&mu_);
   StreamState& st = streams_[stream];
-  net::Codec codec(st.schema);
-  std::string buf;
+  // RegisterStream checked the batch schema against the stream's, so the
+  // row writer's arity matches it.
+  const net::RowWriter writer(batch);
   const uint64_t first = st.last_seq + 1;
   const std::string prefix = "T|" + stream + "|";
+  std::string buf;
+  buf.reserve(writer.SizeHint() +
+              batch.num_rows() * (prefix.size() + kMaxSeqText + 1));
   for (size_t i = 0; i < batch.num_rows(); ++i) {
-    ASSIGN_OR_RETURN(std::string line, codec.EncodeRow(batch, i));
     buf += prefix;
-    buf += std::to_string(st.last_seq + 1 + i);
+    char seq[kMaxSeqText];
+    const std::to_chars_result r =
+        std::to_chars(seq, seq + sizeof(seq), first + i);
+    buf.append(seq, r.ptr);
     buf.push_back('|');
-    buf += line;
+    writer.Append(i, &buf);
     buf.push_back('\n');
   }
   unsynced_records_ += batch.num_rows();
@@ -341,6 +351,7 @@ Result<ReplayReport> ReplayIngestLog(const std::string& path,
   struct StreamScan {
     Schema schema;
     std::unique_ptr<net::Codec> codec;
+    Table scratch;  // one decoded tuple at a time
     uint64_t acked = 0;
     uint64_t delivered = 0;  // pass 2 dedup cursor
   };
@@ -353,6 +364,7 @@ Result<ReplayReport> ReplayIngestLog(const std::string& path,
           auto [it, inserted] = streams.emplace(r.stream, StreamScan{});
           if (inserted) {
             it->second.codec = std::make_unique<net::Codec>(schema);
+            it->second.scratch = Table(schema);
             it->second.schema = std::move(schema);
           }
           (void)offset;
@@ -386,8 +398,9 @@ Result<ReplayReport> ReplayIngestLog(const std::string& path,
           ++report.skipped_dup;
           return Status::OK();
         }
-        ASSIGN_OR_RETURN(Row row, st.codec->DecodeRow(r.rest));
-        RETURN_NOT_OK(handler(r.stream, st.schema, r.seq, row));
+        st.scratch.Clear();
+        RETURN_NOT_OK(st.codec->DecodeInto(r.rest, &st.scratch));
+        RETURN_NOT_OK(handler(r.stream, st.schema, r.seq, st.scratch.GetRow(0)));
         st.delivered = r.seq;
         ++report.replayed;
         return Status::OK();

@@ -21,6 +21,8 @@ namespace fs = std::filesystem;
 namespace {
 constexpr const char* kExtension = ".dct";
 constexpr const char* kTmpSuffix = ".tmp";
+// Tuples LoadTable decodes per batch before appending them to the table.
+constexpr size_t kLoadBatchRows = 4096;
 
 Status IOErrno(const std::string& what) {
   return Status::IOError(what + ": " + std::strerror(errno));
@@ -97,9 +99,11 @@ Result<Table> LoadTable(const std::string& path) {
                               "' truncated mid-header at byte 0 "
                               "(crash-torn file)");
   }
-  ASSIGN_OR_RETURN(Schema schema, net::Codec::DecodeSchemaHeader(
-                                      content.substr(0, header_end)));
+  ASSIGN_OR_RETURN(Schema schema,
+                   net::Codec::DecodeSchemaHeader(
+                       std::string_view(content).substr(0, header_end)));
   net::Codec codec(schema);
+  net::BatchDecoder decoder(&codec);
   Table table(schema);
   size_t pos = header_end + 1;
   size_t line_no = 1;
@@ -118,13 +122,17 @@ Result<Table> LoadTable(const std::string& path) {
     // arity check rejects them (catching torn/blank junk), while a
     // single-string-column table legitimately encodes an empty value as an
     // empty line and must round-trip.
-    Status st = codec.DecodeInto(content.substr(pos, eol - pos), &table);
+    Status st = decoder.Add(
+        std::string_view(content).substr(pos, eol - pos));
     if (!st.ok()) {
       return Status::ParseError("'" + path + "' line " +
                                 std::to_string(line_no) + ": " + st.message());
     }
     pos = eol + 1;
+    // Bounded lanes: a large file is never held twice over.
+    if (decoder.rows() == kLoadBatchRows) RETURN_NOT_OK(decoder.Flush(&table));
   }
+  RETURN_NOT_OK(decoder.Flush(&table));
   return table;
 }
 

@@ -1,10 +1,13 @@
 #include "util/strings.h"
 
 #include <cctype>
+#include <cerrno>
+#include <charconv>
+#include <cmath>
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
-#include <cerrno>
+#include <cstring>
 
 namespace datacell {
 
@@ -58,33 +61,72 @@ bool EqualsIgnoreCase(std::string_view a, std::string_view b) {
   return true;
 }
 
-Result<int64_t> ParseInt64(std::string_view s) {
-  if (s.empty()) return Status::ParseError("empty integer literal");
-  std::string buf(s);
+namespace {
+
+// strtoll/strtod need a NUL-terminated copy. Literals that fit (every
+// number the codec or the SQL lexer produces) are copied onto the stack;
+// only longer ones, e.g. heavily zero-padded, go to the heap.
+constexpr size_t kStackLiteral = 128;
+
+template <typename T, typename Fn>
+bool ParseTerminated(std::string_view s, Fn parse, T* out, bool* range) {
+  char stack[kStackLiteral];
+  std::string heap;
+  char* buf = stack;
+  if (s.size() >= kStackLiteral) {
+    heap.assign(s);
+    buf = heap.data();
+  } else {
+    std::memcpy(stack, s.data(), s.size());
+    stack[s.size()] = '\0';
+  }
   errno = 0;
   char* end = nullptr;
-  long long v = std::strtoll(buf.c_str(), &end, 10);
-  if (errno == ERANGE) {
-    return Status::ParseError("integer out of range: " + buf);
+  *out = parse(buf, &end);
+  *range = errno == ERANGE;
+  return end == buf + s.size();
+}
+
+}  // namespace
+
+Result<int64_t> ParseInt64(std::string_view s) {
+  if (s.empty()) return Status::ParseError("empty integer literal");
+  // Fast path: from_chars accepts a subset of what strtoll does (no '+',
+  // no leading whitespace) and agrees on the value wherever both accept.
+  int64_t v = 0;
+  const auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
+  if (ec == std::errc() && ptr == s.data() + s.size()) return v;
+  long long slow = 0;
+  bool range = false;
+  const bool whole = ParseTerminated(
+      s, [](const char* b, char** e) { return std::strtoll(b, e, 10); },
+      &slow, &range);
+  if (range) {
+    return Status::ParseError("integer out of range: " + std::string(s));
   }
-  if (end != buf.c_str() + buf.size()) {
-    return Status::ParseError("invalid integer: " + buf);
-  }
-  return static_cast<int64_t>(v);
+  if (!whole) return Status::ParseError("invalid integer: " + std::string(s));
+  return static_cast<int64_t>(slow);
 }
 
 Result<double> ParseDouble(std::string_view s) {
   if (s.empty()) return Status::ParseError("empty double literal");
-  std::string buf(s);
-  errno = 0;
-  char* end = nullptr;
-  double v = std::strtod(buf.c_str(), &end);
-  if (errno == ERANGE) {
-    return Status::ParseError("double out of range: " + buf);
+  // Fast path for normal numbers and zero only: strtod sets ERANGE on
+  // subnormal results, and it alone spells out nan/inf signs and
+  // payloads, hex floats, '+' and leading whitespace.
+  double v = 0;
+  const auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
+  if (ec == std::errc() && ptr == s.data() + s.size() &&
+      (std::isnormal(v) || v == 0.0)) {
+    return v;
   }
-  if (end != buf.c_str() + buf.size()) {
-    return Status::ParseError("invalid double: " + buf);
+  bool range = false;
+  const bool whole = ParseTerminated(
+      s, [](const char* b, char** e) { return std::strtod(b, e); }, &v,
+      &range);
+  if (range) {
+    return Status::ParseError("double out of range: " + std::string(s));
   }
+  if (!whole) return Status::ParseError("invalid double: " + std::string(s));
   return v;
 }
 

@@ -26,7 +26,9 @@ std::string ToLower(std::string_view s);
 /// Case-insensitive ASCII equality.
 bool EqualsIgnoreCase(std::string_view a, std::string_view b);
 
-/// Strict integer / double parsing (whole string must match).
+/// Strict integer / double parsing: the whole string must match, with
+/// exactly the acceptance of strtoll (base 10) / strtod in the C locale.
+/// Allocates only on rejection or for literals of 128+ bytes.
 Result<int64_t> ParseInt64(std::string_view s);
 Result<double> ParseDouble(std::string_view s);
 

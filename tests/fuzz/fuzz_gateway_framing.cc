@@ -43,7 +43,9 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
     framer.Append(std::string_view(stream + pos, n));
     pos += n;
 
-    while (std::optional<std::string> line = framer.NextLine()) {
+    // Views into the framer's buffer: each must stay readable until the
+    // next call, which is where compaction may move the bytes.
+    while (std::optional<std::string_view> line = framer.NextView()) {
       bytes_out += line->size() + 1;  // '\n' is consumed, not returned
       if (!saw_hello) {
         saw_hello = true;

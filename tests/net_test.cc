@@ -11,6 +11,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -30,6 +31,13 @@ namespace datacell::net {
 namespace {
 
 Schema StreamSchema() { return Sensor::StreamSchema(); }
+
+// Decodes one tuple line into a fresh table and boxes it back into a Row.
+Result<Row> DecodeOne(const Codec& codec, std::string_view line) {
+  Table t(codec.schema());
+  RETURN_NOT_OK(codec.DecodeInto(line, &t));
+  return t.GetRow(0);
+}
 
 TEST(CodecTest, SchemaHeaderRoundTrip) {
   Codec codec(StreamSchema());
@@ -51,7 +59,7 @@ TEST(CodecTest, RowRoundTrip) {
       t.AppendRow({Value(-7), Value(2.5), Value(true), Value("hi")}).ok());
   auto line = codec.EncodeRow(t, 0);
   ASSERT_TRUE(line.ok());
-  auto row = codec.DecodeRow(*line);
+  auto row = DecodeOne(codec, *line);
   ASSERT_TRUE(row.ok());
   EXPECT_EQ((*row)[0], Value(-7));
   EXPECT_EQ((*row)[1], Value(2.5));
@@ -67,7 +75,7 @@ TEST(CodecTest, NullsAndEscaping) {
   auto line = codec.EncodeRow(t, 0);
   ASSERT_TRUE(line.ok());
   EXPECT_EQ(line->find('\n'), std::string::npos);
-  auto row = codec.DecodeRow(*line);
+  auto row = DecodeOne(codec, *line);
   ASSERT_TRUE(row.ok());
   EXPECT_EQ((*row)[0], Value("p|q\\r\nx"));
   EXPECT_TRUE((*row)[1].is_null());
@@ -81,21 +89,21 @@ TEST(CodecTest, DoublePrecisionRoundTrip) {
   ASSERT_TRUE(t.AppendRow({Value(v)}).ok());
   auto line = codec.EncodeRow(t, 0);
   ASSERT_TRUE(line.ok());
-  auto row = codec.DecodeRow(*line);
+  auto row = DecodeOne(codec, *line);
   ASSERT_TRUE(row.ok());
   EXPECT_EQ((*row)[0].double_value(), v);
 }
 
 TEST(CodecTest, ArityMismatchRejected) {
   Codec codec(StreamSchema());
-  EXPECT_FALSE(codec.DecodeRow("1|2|3").ok());
-  EXPECT_FALSE(codec.DecodeRow("1").ok());
+  EXPECT_FALSE(DecodeOne(codec, "1|2|3").ok());
+  EXPECT_FALSE(DecodeOne(codec, "1").ok());
 }
 
 TEST(CodecTest, BadFieldRejected) {
   Codec codec(StreamSchema());
-  EXPECT_FALSE(codec.DecodeRow("notanint|5").ok());
-  EXPECT_FALSE(codec.DecodeRow("1|notanint").ok());
+  EXPECT_FALSE(DecodeOne(codec, "notanint|5").ok());
+  EXPECT_FALSE(DecodeOne(codec, "1|notanint").ok());
 }
 
 TEST(CodecTest, EncodeTableMultipleLines) {
@@ -258,7 +266,7 @@ TEST(CodecTest, LiteralNullStringIsNotSqlNull) {
   ASSERT_TRUE(t.AppendRow({Value("NULL"), Value::Null()}).ok());
   auto line = codec.EncodeRow(t, 0);
   ASSERT_TRUE(line.ok());
-  auto row = codec.DecodeRow(*line);
+  auto row = DecodeOne(codec, *line);
   ASSERT_TRUE(row.ok());
   EXPECT_EQ((*row)[0], Value("NULL"));  // the string survives as a string
   EXPECT_TRUE((*row)[1].is_null());     // the null survives as a null
@@ -274,7 +282,7 @@ TEST(CodecTest, NullMarkerLookalikeStringsRoundTrip) {
     ASSERT_TRUE(t.AppendRow({Value(v)}).ok());
     auto line = codec.EncodeRow(t, 0);
     ASSERT_TRUE(line.ok());
-    auto row = codec.DecodeRow(*line);
+    auto row = DecodeOne(codec, *line);
     ASSERT_TRUE(row.ok()) << v;
     EXPECT_EQ((*row)[0], Value(v));
   }
@@ -284,7 +292,7 @@ TEST(CodecTest, BareNullWordStillNullForNonStringFields) {
   // Backward compatibility with pre-\N encoders, where no legal value
   // collides with the word.
   Codec codec(StreamSchema());
-  auto row = codec.DecodeRow("NULL|7");
+  auto row = DecodeOne(codec, "NULL|7");
   ASSERT_TRUE(row.ok());
   EXPECT_TRUE((*row)[0].is_null());
   EXPECT_EQ((*row)[1], Value(7));
@@ -696,15 +704,38 @@ TEST(ShardedGatewayTest, FanInAcrossShardsLossless) {
 
   constexpr int kClients = 12;
   constexpr uint64_t kPerClient = 100;
+  // Every client is connected, and accepted, before any of them streams,
+  // so the server holds kClients distinct fds at once: the premise of the
+  // spread check below. Clients that connect and finish one after another
+  // may legally reuse one fd, and so one shard, for the whole fleet.
+  Codec codec(StreamSchema());
+  std::vector<TcpStream> clients;
+  for (int c = 0; c < kClients; ++c) {
+    auto stream = TcpStream::Connect("127.0.0.1", fx.ingress->port());
+    ASSERT_TRUE(stream.ok());
+    ASSERT_TRUE(stream->WriteAll(codec.EncodeSchemaHeader() + "\n").ok());
+    clients.push_back(std::move(*stream));
+  }
+  for (int i = 0; i < 5000 && fx.ingress->connections_accepted() < kClients;
+       ++i) {
+    fx.clock->SleepFor(1000);
+  }
+  ASSERT_EQ(fx.ingress->connections_accepted(), kClients);
   std::vector<std::thread> sensors;
   for (int c = 0; c < kClients; ++c) {
     sensors.emplace_back([&, c] {
-      Sensor::Options opts;
-      opts.num_tuples = kPerClient;
-      opts.tuples_per_write = 13;
-      opts.seed = static_cast<uint64_t>(c) + 1;
-      ASSERT_TRUE(
-          Sensor::Run("127.0.0.1", fx.ingress->port(), opts, fx.clock).ok());
+      TcpStream& stream = clients[static_cast<size_t>(c)];
+      std::string burst;
+      for (uint64_t i = 1; i <= kPerClient; ++i) {
+        burst += std::to_string(i) + "|" + std::to_string(c) + "\n";
+        if (i % 13 == 0 || i == kPerClient) {
+          ASSERT_TRUE(stream.WriteAll(burst).ok());
+          burst.clear();
+        }
+      }
+      ASSERT_TRUE(stream.ShutdownWrite().ok());
+      while (stream.ReadLine().ok()) {
+      }  // until the gateway closes its end
     });
   }
   for (auto& t : sensors) t.join();

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <map>
+#include <string_view>
 
 #include "core/basket.h"
 #include "core/basket_expression.h"
@@ -21,6 +22,13 @@
 
 namespace datacell {
 namespace {
+
+// Decodes one tuple line into a fresh table and boxes it back into a Row.
+Result<Row> DecodeOne(const net::Codec& codec, std::string_view line) {
+  Table t(codec.schema());
+  RETURN_NOT_OK(codec.DecodeInto(line, &t));
+  return t.GetRow(0);
+}
 
 Schema StreamSchema() {
   return Schema({{"tag", DataType::kTimestamp}, {"payload", DataType::kInt64}});
@@ -346,7 +354,7 @@ TEST_P(CodecRoundTripTest, ArbitraryRowsSurvive) {
     auto line = codec.EncodeRow(t, r);
     ASSERT_TRUE(line.ok());
     ASSERT_EQ(line->find('\n'), std::string::npos);
-    auto row = codec.DecodeRow(*line);
+    auto row = DecodeOne(codec, *line);
     ASSERT_TRUE(row.ok()) << *line;
     Row expect = t.GetRow(r);
     ASSERT_EQ(row->size(), expect.size());
@@ -473,7 +481,7 @@ TEST_P(CodecNullAmbiguityTest, AnyRowSurvivesTheWire) {
     auto line = codec.EncodeRow(t, 0);
     ASSERT_TRUE(line.ok());
     ASSERT_EQ(line->find('\n'), std::string::npos);
-    auto decoded = codec.DecodeRow(*line);
+    auto decoded = DecodeOne(codec, *line);
     ASSERT_TRUE(decoded.ok()) << *line;
     EXPECT_EQ(*decoded, row) << *line;
   }

@@ -1,5 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <cerrno>
+#include <cstdlib>
+#include <cstring>
+#include <string>
+#include <vector>
+
 #include "util/clock.h"
 #include "util/random.h"
 #include "util/status.h"
@@ -122,6 +128,52 @@ TEST(StringsTest, ParseDouble) {
   ASSERT_TRUE(r.ok());
   EXPECT_DOUBLE_EQ(*r, 2500.0);
   EXPECT_FALSE(ParseDouble("nanx").ok());
+}
+
+// The from_chars fast paths must keep strtoll/strtod acceptance exactly:
+// every literal is checked against the libc reference on a heap copy.
+const std::vector<std::string>& NumericLiterals() {
+  static const std::vector<std::string> kLiterals = {
+      "+5", " 5", "5 ", "\t5", "-0", "0", "007", "-007", "-", "+", "",
+      "9223372036854775807", "9223372036854775808", "-9223372036854775808",
+      "-9223372036854775809", "1e400", "-1e400", "1e-400", "inf", "-inf",
+      "infinity", "INF", "nan", "-nan", "nan(7)", "0x1p3", "0x10", "12x",
+      "1.5x", "1e", "1.", ".5", "2.5e3", "4.9406564584124654e-324",
+      "2.2250738585072009e-308", "2.2250738585072014e-308",
+      std::string("5\0", 2), std::string(150, '0') + "42",
+      std::string(150, ' ') + "42"};
+  return kLiterals;
+}
+
+TEST(StringsTest, ParseInt64MatchesStrtoll) {
+  for (const std::string& s : NumericLiterals()) {
+    errno = 0;
+    char* end = nullptr;
+    const long long want = std::strtoll(s.c_str(), &end, 10);
+    const bool want_ok =
+        !s.empty() && errno != ERANGE && end == s.c_str() + s.size();
+    Result<int64_t> got = ParseInt64(s);
+    ASSERT_EQ(got.ok(), want_ok) << "'" << s << "'";
+    if (want_ok) {
+      EXPECT_EQ(*got, want) << "'" << s << "'";
+    }
+  }
+}
+
+TEST(StringsTest, ParseDoubleMatchesStrtod) {
+  for (const std::string& s : NumericLiterals()) {
+    errno = 0;
+    char* end = nullptr;
+    const double want = std::strtod(s.c_str(), &end);
+    const bool want_ok =
+        !s.empty() && errno != ERANGE && end == s.c_str() + s.size();
+    Result<double> got = ParseDouble(s);
+    ASSERT_EQ(got.ok(), want_ok) << "'" << s << "'";
+    if (want_ok) {
+      // Bit-identical, so NaN signs and -0.0 count too.
+      EXPECT_EQ(std::memcmp(&*got, &want, sizeof(double)), 0) << "'" << s << "'";
+    }
+  }
 }
 
 TEST(StringsTest, Printf) {
